@@ -110,7 +110,8 @@ Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
                                               AnalysisComponentCache* cache) {
   AnalysisOptions holistic_options = options;
   holistic_options.mode = AnalysisMode::Holistic;
-  auto holistic = analyze_system(layout, holistic_options, counters, external_task_jitter);
+  auto holistic =
+      analyze_system(layout, holistic_options, counters, external_task_jitter, {}, cache);
   if (!holistic.ok()) return holistic;
   AnalysisResult base = std::move(holistic).value();
 
@@ -124,7 +125,8 @@ Expected<AnalysisResult> analyze_system_exact(const BusLayout& layout,
     return base;
   }
 
-  auto capped = analyze_system(layout, holistic_options, counters, external_task_jitter, caps);
+  auto capped =
+      analyze_system(layout, holistic_options, counters, external_task_jitter, caps, cache);
   if (!capped.ok()) return capped;
   AnalysisResult refined = std::move(capped).value();
   if (!refined.converged) {

@@ -8,7 +8,8 @@
 namespace flexopt {
 
 Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams> same_node,
-                       const BusyProfile& scs, Time horizon, int* fp_iterations, Time seed) {
+                       const BusyProfile& scs, Time horizon, int* fp_iterations, Time seed,
+                       int* cap_hits) {
   if (is_infinite(task.jitter)) return kTimeInfinity;
   // Level-i load including the SCS share: if it exceeds 1, the level-i busy
   // period never ends and the least fixed point below (which only bounds
@@ -38,6 +39,7 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 
   const FixedPointResult fp = iterate_to_fixed_point(body, horizon, 10'000, seed);
   if (fp_iterations != nullptr) *fp_iterations += fp.iterations;
+  if (fp.capped && cap_hits != nullptr) ++*cap_hits;
   if (!fp.converged) return kTimeInfinity;
   return sat_add(task.jitter, fp.value);
 }

@@ -1,15 +1,17 @@
 #pragma once
 
 /// \file arena.hpp
-/// Preallocated structure-of-arrays state for the incremental analysis hot
-/// path.  One AnalysisArena belongs to one evaluator worker thread and is
-/// reused across evaluations: every per-task / per-message quantity the
-/// holistic fixed point touches lives in a flat array indexed by the dense
-/// activity index (aid = task index for tasks, n_tasks + message index for
-/// messages), and re-binding to the same TaskStructure only clears —
+/// Preallocated structure-of-arrays state of the holistic fixed point
+/// (analyze_system_incremental_into).  Every per-task / per-message
+/// quantity the fixed point touches lives in a flat array indexed by the
+/// dense activity index (aid = task index for tasks, n_tasks + message
+/// index for messages).  analyze_system builds a one-shot arena per call;
+/// each evaluator worker thread owns one that it reuses across delta
+/// evaluations, and re-binding to the same TaskStructure only clears —
 /// never reallocates — so a steady-state delta evaluation performs zero
 /// heap allocations (asserted by the alloc-probe test and gated by
-/// bench_delta_eval).
+/// bench_delta_eval).  An arena's history never changes a result: every
+/// analysis resets the state it reads.
 
 #include <cstdint>
 #include <memory>
@@ -40,11 +42,9 @@ struct AnalysisArena {
   std::shared_ptr<const TaskStructure> structure;
 
   // ---- fixed-point state over the aid space --------------------------------
-  std::vector<Time> completion;     ///< per aid
-  std::vector<Time> jitter;         ///< per aid
-  IndexBitset affected;             ///< invalidation closure result, per aid
-  IndexBitset dirty;                ///< "a read jitter moved" per component, per aid
-  std::vector<std::uint32_t> work;  ///< closure worklist (aids)
+  std::vector<Time> completion;  ///< per aid
+  std::vector<Time> jitter;      ///< per aid
+  IndexBitset dirty;             ///< "a read jitter moved" per component, per aid
 
   /// Mutable copy of TaskStructure::fps_params (jitter slots are refreshed
   /// in place before each FPS recomputation).

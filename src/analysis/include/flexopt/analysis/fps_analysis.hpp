@@ -50,10 +50,12 @@ struct FpsTaskParams {
 /// least-fixed-point lower bound, e.g. the converged busy value of the
 /// same task against a subset of the SCS interference.  The returned
 /// response is identical to the unseeded call; only the iteration count
-/// shrinks.
+/// shrinks.  `cap_hits` (optional) counts recurrences stopped at the
+/// 10,000-iteration cap (reported unbounded although they never crossed
+/// the horizon).
 Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams> same_node,
                        const BusyProfile& scs, Time horizon, int* fp_iterations = nullptr,
-                       Time seed = 0);
+                       Time seed = 0, int* cap_hits = nullptr);
 
 /// Sum of response times of all tasks in `same_node` (infinite responses
 /// are added as `horizon` each, keeping the sum finite and comparable).

@@ -1,10 +1,9 @@
 #pragma once
 
 /// \file incremental.hpp
-/// Incremental ("delta") system analysis: splits analyze_system into
-/// separately cacheable components keyed by sub-hashes of the BusConfig
-/// decision variables, so a neighbour move recomputes only what it
-/// invalidated.  Three component classes exist:
+/// The holistic fixed point, split into separately cacheable components
+/// keyed by sub-hashes of the BusConfig decision variables.  Three
+/// component classes exist:
 ///
 ///  * the static-segment schedule table (+ the TT completions it fixes),
 ///    keyed by the schedule's inputs: ST slot count / length / ownership
@@ -17,27 +16,23 @@
 ///    horizon), which depends on the mapping only and is built once per
 ///    application.
 ///
-/// analyze_system_incremental reuses every component the move left intact
-/// and, inside the holistic fixed point, recomputes a response-time
-/// recurrence only when one of its inputs actually changed.  The fixed
-/// point is run as a chaotic (Gauss-Seidel-style) relaxation — sound
-/// because the iteration is monotone from below, so every fair update
-/// order reaches the same least fixed point analyze_system's Jacobi
-/// schedule reaches — with analyze_system's exact schedule as the
-/// fallback whenever the sweep cap is hit (the relaxation dominates the
-/// Jacobi sweeps pointwise, so a cap hit here implies the full path would
-/// have hit its cap and pinned too).  The result is therefore
-/// bit-identical to analyze_system whenever the holistic iteration
-/// converges — asserted in Debug builds by CostEvaluator::evaluate_delta
-/// and covered by the delta property tests.  The single tolerated
-/// asymmetry is a system whose Jacobi schedule would need more than
-/// AnalysisOptions::max_holistic_iterations sweeps to converge while the
-/// relaxation converges within them: the delta path then returns the
-/// exact fixed point the cap would have pinned to all-infinite — a
-/// strictly tighter sound bound (never observed in the test populations).
+/// analyze_system_incremental_into is the only implementation of the
+/// holistic fixed point: analyze_system, the evaluator's full and delta
+/// paths, the exact backend's re-runs and the cross-cluster iteration all
+/// run it.  Every call starts from scratch (ET completions 0, the
+/// monotone-from-below seed); what is incremental is the reuse of cached
+/// schedule tables across configurations and, inside the fixed point, the
+/// skipping of every recurrence none of whose read jitters moved since its
+/// last recomputation.  The fixed point is a chaotic (Gauss-Seidel-style)
+/// relaxation in topological order: monotone from below, so it reaches the
+/// least fixed point, and a sweep collapses a whole dependency chain.
+/// Hitting AnalysisOptions::max_holistic_iterations pins every ET
+/// completion to infinity.  The result is a pure function of (layout,
+/// options, external jitter, caps): the cache contents and the arena's
+/// history never change a value, which the Debug cross-checks in
+/// CostEvaluator assert on every delta evaluation.
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -63,43 +58,6 @@ struct ConfigSubHashes {
 };
 
 [[nodiscard]] ConfigSubHashes config_subhashes(const BusConfig& config);
-
-/// Which decision variables a neighbour move touched, in analysis terms.
-/// Produced from core's DeltaMove; consumed by the seeded fixed point to
-/// bound the transitively invalidated component set.
-struct AnalysisInvalidation {
-  bool st_slot_count_changed = false;
-  bool st_slot_len_changed = false;
-  bool st_owner_changed = false;
-  bool minislot_count_changed = false;
-  /// Number of messages whose FrameID changed.  The invalidation closure
-  /// only needs the FrameID *window* below, so the struct stays scalar —
-  /// producing one per candidate move is allocation-free.
-  std::uint32_t changed_message_count = 0;
-  /// FrameID window [min, max] spanned by the changed messages' base and
-  /// new FrameIDs.  Only DYN messages with a FrameID inside the window can
-  /// see a different lf()/hp() interference set: a message above it keeps
-  /// every changed message in lf() (both FrameIDs below its own, weights
-  /// and periods untouched), one below it never saw them.  [INT_MAX,
-  /// INT_MIN] when no FrameID changed.
-  int frame_id_window_min = std::numeric_limits<int>::max();
-  int frame_id_window_max = std::numeric_limits<int>::min();
-
-  [[nodiscard]] bool any_change() const {
-    return st_slot_count_changed || st_slot_len_changed || st_owner_changed ||
-           minislot_count_changed || changed_message_count != 0;
-  }
-  /// The static-segment table must be rebuilt (or fetched by a new key).
-  [[nodiscard]] bool schedule_invalidated() const {
-    return st_slot_count_changed || st_slot_len_changed || st_owner_changed ||
-           minislot_count_changed;
-  }
-  /// Every DYN recurrence is structurally invalidated (sigma, gdCycle,
-  /// pLatestTx or the ST segment length changed).
-  [[nodiscard]] bool dyn_geometry_invalidated() const {
-    return st_slot_count_changed || st_slot_len_changed || minislot_count_changed;
-  }
-};
 
 /// Cacheable static-segment component: the schedule table plus the TT
 /// completions it fixes.  Construction failures are cached too (negative
@@ -230,35 +188,20 @@ class AnalysisComponentCache {
       exact_spaces_;
 };
 
-/// Incremental analyze_system.  Without `base`, the result (values,
-/// iteration count, convergence) is bit-identical to analyze_system: the
-/// ET fixed point merely skips recomputing recurrences whose inputs did
-/// not change between iterations.  With `base` and `invalidation` — a
-/// *converged* previous result whose configuration differs from `layout`'s
-/// exactly by `invalidation` — only the transitively invalidated
-/// components are recomputed and everything else is seeded from `base`.
-/// Seeding falls back internally to the from-scratch path whenever it
-/// cannot be proven safe (non-converged base, iteration cap reached).
-/// `external_task_jitter` mirrors analyze_system's parameter (the
-/// cross-cluster jitter hook); a non-empty span disables base seeding —
-/// a base computed under different external jitter is not a valid seed.
-Expected<AnalysisResult> analyze_system_incremental(
-    const BusLayout& layout, const AnalysisOptions& options, AnalysisComponentCache& cache,
-    AnalysisWorkCounters* counters = nullptr, const AnalysisResult* base = nullptr,
-    const AnalysisInvalidation* invalidation = nullptr,
-    std::span<const Time> external_task_jitter = {});
-
-/// Arena-based analyze_system_incremental: identical semantics and
-/// bit-identical results, but all fixed-point state lives in `arena`
-/// (reused across calls) and the outcome is written into `out` (whose
-/// vectors are reused too), so a steady-state call performs zero heap
-/// allocations.  This is the hot entry CostEvaluator's worker threads
-/// drive; the wrapper above allocates a one-shot arena for cold callers.
-/// On error, `out` is left unspecified and must not be read.
-Expected<bool> analyze_system_incremental_into(
-    const BusLayout& layout, const AnalysisOptions& options, AnalysisComponentCache& cache,
-    AnalysisArena& arena, AnalysisResult& out, AnalysisWorkCounters* counters = nullptr,
-    const AnalysisResult* base = nullptr, const AnalysisInvalidation* invalidation = nullptr,
-    std::span<const Time> external_task_jitter = {});
+/// Runs the holistic fixed point for `layout` with all state in `arena`
+/// (reused across calls) and writes the outcome into `out` (whose vectors
+/// are reused too), so a steady-state call performs zero heap allocations.
+/// This is the hot entry CostEvaluator's worker threads drive;
+/// analyze_system wraps it with a one-shot arena for cold callers.
+/// `external_task_jitter` and `dyn_message_caps` are analyze_system's
+/// cross-cluster and exact-backend hooks.  On error, `out` is left
+/// unspecified and must not be read.
+Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
+                                               const AnalysisOptions& options,
+                                               AnalysisComponentCache& cache,
+                                               AnalysisArena& arena, AnalysisResult& out,
+                                               AnalysisWorkCounters* counters = nullptr,
+                                               std::span<const Time> external_task_jitter = {},
+                                               std::span<const Time> dyn_message_caps = {});
 
 }  // namespace flexopt

@@ -68,8 +68,7 @@ Expected<std::vector<ClusterLayout>> build_system_layouts(const SystemModel& mod
 /// `dyn_message_caps` (optional, one vector per cluster; an empty inner
 /// vector caps nothing) forwards per-message response caps into each
 /// FlexRay cluster's fixed point — the exact backend's re-run hook (see
-/// analyze_system).  A cluster with caps bypasses its incremental cache for
-/// that call.  When options.mode == AnalysisMode::Exact and no caps are
+/// analyze_system).  When options.mode == AnalysisMode::Exact and no caps are
 /// given, the call dispatches to analyze_multicluster_exact.
 Expected<MulticlusterResult> analyze_multicluster(
     const SystemModel& model, std::span<const ClusterLayout> layouts,

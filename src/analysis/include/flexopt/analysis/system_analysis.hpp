@@ -21,6 +21,7 @@
 namespace flexopt {
 
 class BusLayout;  // flexopt/flexray/bus_layout.hpp (kept out of cluster-generic includes)
+class AnalysisComponentCache;  // flexopt/analysis/incremental.hpp
 
 struct AnalysisOptions {
   SchedulerOptions scheduler;
@@ -33,8 +34,6 @@ struct AnalysisOptions {
   /// Response-time horizon as a multiple of max(hyper-period, max deadline);
   /// any recurrence exceeding it is reported unbounded.
   int horizon_factor = 4;
-  /// Log per-iteration convergence diagnostics (log_debug level).
-  bool debug_trace = false;
   /// Which backend produces the ET bounds.  Exact routes through the DYN
   /// schedule-space exploration (flexopt/analysis/exact/); Simulate is
   /// analysis-wise identical to Holistic (the simulator lane is a campaign
@@ -47,8 +46,7 @@ struct AnalysisOptions {
 /// Recompute accounting of the evaluation pipeline.  One "analysis
 /// component" is one unit of real work: a static-schedule table build, one
 /// FPS response-time recurrence, or one DYN message WCRT recurrence.  The
-/// Fig. 9 runtime argument is about how many of these a search performs;
-/// bench_delta_eval gates the full-vs-delta ratio on components().
+/// Fig. 9 runtime argument is about how many of these a search performs.
 struct AnalysisWorkCounters {
   std::uint64_t schedule_builds = 0;  ///< static-segment tables built
   std::uint64_t schedule_reuses = 0;  ///< tables served from the component cache
@@ -61,6 +59,11 @@ struct AnalysisWorkCounters {
   /// the "how hard did each recomputed component work" axis the coarse
   /// per-component counters cannot see.
   std::uint64_t fixed_point_iterations = 0;
+  /// FPS recurrences stopped at fps_response_time's iteration cap: reported
+  /// unbounded without having crossed the horizon.  The cap makes such a
+  /// bound depend on the iteration trajectory, so a non-zero count flags
+  /// results that are sound but not order-independent.
+  std::uint64_t fps_cap_hits = 0;
   /// Exact schedule-space engine (AnalysisMode::Exact only): states
   /// expanded, states merged away (identical-key dedup + dominance), and
   /// per-cluster explorations served verbatim from the exact-space cache
@@ -82,6 +85,7 @@ struct AnalysisWorkCounters {
     dyn_skipped += o.dyn_skipped;
     holistic_iterations += o.holistic_iterations;
     fixed_point_iterations += o.fixed_point_iterations;
+    fps_cap_hits += o.fps_cap_hits;
     exact_states_explored += o.exact_states_explored;
     exact_states_deduped += o.exact_states_deduped;
     exact_frontier_reused += o.exact_frontier_reused;
@@ -98,6 +102,7 @@ struct AnalysisWorkCounters {
     d.dyn_skipped = dyn_skipped - before.dyn_skipped;
     d.holistic_iterations = holistic_iterations - before.holistic_iterations;
     d.fixed_point_iterations = fixed_point_iterations - before.fixed_point_iterations;
+    d.fps_cap_hits = fps_cap_hits - before.fps_cap_hits;
     d.exact_states_explored = exact_states_explored - before.exact_states_explored;
     d.exact_states_deduped = exact_states_deduped - before.exact_states_deduped;
     d.exact_frontier_reused = exact_frontier_reused - before.exact_frontier_reused;
@@ -123,8 +128,7 @@ struct AnalysisResult {
   std::shared_ptr<const StaticSchedule> schedule_ptr;
   Cost cost;
   /// False when the holistic iteration hit max_holistic_iterations and the
-  /// ET completions were pinned to infinity.  Incremental re-evaluation
-  /// (analyze_system_incremental) only seeds from converged results.
+  /// ET completions were pinned to infinity.
   bool converged = true;
   /// Set only by the exact backend (AnalysisMode::Exact): refinement
   /// statistics plus the holistic reference bounds.  Shared, immutable,
@@ -138,7 +142,7 @@ struct AnalysisResult {
   }
 };
 
-/// Response-time horizon shared by the full and incremental analyses:
+/// Response-time horizon of every recurrence in the holistic fixed point:
 /// max(hyper-period, max effective deadline) * options.horizon_factor.
 /// Fails when the hyper-period overflows.
 Expected<Time> analysis_horizon(const Application& app, const AnalysisOptions& options);
@@ -148,18 +152,20 @@ Expected<Time> analysis_horizon(const Application& app, const AnalysisOptions& o
 /// possible); an unschedulable system is a *successful* analysis with a
 /// positive cost.
 ///
-/// Reentrancy guarantee: the analysis reads `layout` and `options` only and
-/// keeps all state on the stack — concurrent calls (the CostEvaluator
-/// worker pool fans candidate configurations across threads) are safe as
-/// long as each call gets its own BusLayout.
-/// `counters` (optional) accumulates the work performed — the baseline the
-/// incremental engine is measured against.
+/// This is the one cold entry point of the holistic fixed point: the
+/// analysis itself runs in analyze_system_incremental_into
+/// (flexopt/analysis/incremental.hpp).  `cache` (optional) supplies the
+/// component cache whose static-schedule tables and task structure the
+/// call reuses; without one, the call builds a one-shot cache and arena,
+/// so concurrent calls are safe as long as each gets its own BusLayout.
+/// A shared cache is thread-safe too.  The result never depends on the
+/// cache's contents.
+/// `counters` (optional) accumulates the work performed.
 /// `external_task_jitter` (optional, indexed by TaskId; empty = none) adds
 /// a release-jitter floor per task on top of precedence-induced jitter —
 /// the hook the cross-cluster fixed point (flexopt/analysis/
 /// multicluster.hpp) uses to feed gateway forwarding relays the completion
-/// bounds of their upstream hops.  An empty span leaves the analysis
-/// bit-identical to the pre-cluster behaviour.
+/// bounds of their upstream hops.
 /// `dyn_message_caps` (optional, indexed by MessageId; empty = none) clamps
 /// each DYN message's response-time recurrence to min(recurrence, cap)
 /// inside the fixed point — the hook the exact backend uses to fold its
@@ -175,6 +181,7 @@ Expected<AnalysisResult> analyze_system(const BusLayout& layout,
                                         const AnalysisOptions& options = {},
                                         AnalysisWorkCounters* counters = nullptr,
                                         std::span<const Time> external_task_jitter = {},
-                                        std::span<const Time> dyn_message_caps = {});
+                                        std::span<const Time> dyn_message_caps = {},
+                                        AnalysisComponentCache* cache = nullptr);
 
 }  // namespace flexopt

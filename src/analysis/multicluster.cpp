@@ -21,12 +21,8 @@ Expected<AnalysisResult> analyze_one(const ClusterLayout& layout, const Analysis
     // ExactFallback::UnsupportedBackend instead of producing any).
     return analyze_tsn_cluster(layout.tsn(), options, counters, external_task_jitter);
   }
-  if (cache != nullptr && dyn_message_caps.empty()) {
-    return analyze_system_incremental(layout.flexray(), options, *cache, counters, nullptr,
-                                      nullptr, external_task_jitter);
-  }
   return analyze_system(layout.flexray(), options, counters, external_task_jitter,
-                        dyn_message_caps);
+                        dyn_message_caps, cache);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "flexopt/analysis/fps_analysis.hpp"
 #include "flexopt/analysis/sat_time.hpp"
-#include "flexopt/util/log.hpp"
 
 namespace flexopt {
 
@@ -258,11 +257,12 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
   auto schedule_result = build_tsn_schedule(layout, options.scheduler);
   if (!schedule_result.ok()) return schedule_result.error();
 
-  // The holistic iteration below mirrors analyze_system (system_analysis.cpp)
-  // step for step — same seeding, same jitter propagation, same divergence
-  // pinning — with the DYN-segment step replaced by the per-egress-port
-  // strict-priority bound.  Keeping the structure identical is what makes
-  // the cross-cluster Jacobi iteration backend-agnostic.
+  // The holistic iteration below follows the FlexRay fixed point
+  // (analyze_system_incremental_into) in everything but sweep order — same
+  // seeding, same jitter propagation, same divergence pinning — with the
+  // DYN-segment step replaced by the per-egress-port strict-priority
+  // bound.  Keeping the structure identical is what makes the
+  // cross-cluster Jacobi iteration backend-agnostic.
   AnalysisResult result;
   result.schedule_ptr = std::make_shared<const StaticSchedule>(std::move(schedule_result).value());
   const StaticSchedule& schedule = *result.schedule_ptr;
@@ -314,6 +314,7 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
 
   bool converged = false;
   int fp_iterations = 0;
+  int fps_cap_hits = 0;
   int* const fp_out = counters != nullptr ? &fp_iterations : nullptr;
   for (int iter = 0; iter < options.max_holistic_iterations && !converged; ++iter) {
     if (counters != nullptr) ++counters->holistic_iterations;
@@ -348,7 +349,7 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
       const BusyProfile& profile = schedule.node_profile(n);
       for (const auto& p : params) {
         if (counters != nullptr) ++counters->fps_analyses;
-        const Time r = fps_response_time(p, params, profile, horizon, fp_out);
+        const Time r = fps_response_time(p, params, profile, horizon, fp_out, 0, &fps_cap_hits);
         if (result.task_completion[index_of(p.id)] != r) {
           result.task_completion[index_of(p.id)] = r;
           changed = true;
@@ -368,29 +369,13 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
       }
     }
 
-    if (options.debug_trace) {
-      Time max_finite = 0;
-      int infinite = 0;
-      auto scan = [&](const std::vector<Time>& v) {
-        for (const Time c : v) {
-          if (is_infinite(c)) {
-            ++infinite;
-          } else {
-            max_finite = std::max(max_finite, c);
-          }
-        }
-      };
-      scan(result.task_completion);
-      scan(result.message_completion);
-      log_debug("tsn holistic iter ", iter, ": changed=", changed,
-                " max_finite=", format_time(max_finite), " infinite=", infinite);
-    }
     converged = !changed;
   }
 
   result.converged = converged;
   if (counters != nullptr) {
     counters->fixed_point_iterations += static_cast<std::uint64_t>(fp_iterations);
+    counters->fps_cap_hits += static_cast<std::uint64_t>(fps_cap_hits);
   }
   if (!converged) {
     for (std::uint32_t t = 0; t < app.task_count(); ++t) {

@@ -1,34 +1,11 @@
 #include "flexopt/core/delta_move.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace flexopt {
 
-DeltaMove DeltaMove::between(const BusConfig& base, BusConfig next) {
+DeltaMove DeltaMove::between(const BusConfig& /*base*/, BusConfig next) {
   DeltaMove move;
-  move.st_slot_count_changed = base.static_slot_count != next.static_slot_count;
-  move.st_slot_len_changed = base.static_slot_len != next.static_slot_len;
-  move.st_owner_changed = base.static_slot_owner != next.static_slot_owner;
-  move.minislot_count_changed = base.minislot_count != next.minislot_count;
-  if (base.frame_id.size() == next.frame_id.size()) {
-    for (std::size_t m = 0; m < next.frame_id.size(); ++m) {
-      if (base.frame_id[m] == next.frame_id[m]) continue;
-      move.frame_id_changed.push_back(static_cast<std::uint32_t>(m));
-      move.frame_id_window_min = std::min(
-          move.frame_id_window_min, std::min(base.frame_id[m], next.frame_id[m]));
-      move.frame_id_window_max = std::max(
-          move.frame_id_window_max, std::max(base.frame_id[m], next.frame_id[m]));
-    }
-  } else {
-    // A resized FrameID vector is not a neighbour move; treat every
-    // message as changed so the delta path degrades to a full recompute.
-    for (std::size_t m = 0; m < next.frame_id.size(); ++m) {
-      move.frame_id_changed.push_back(static_cast<std::uint32_t>(m));
-    }
-    move.frame_id_window_min = 1;
-    move.frame_id_window_max = std::numeric_limits<int>::max() - 1;
-  }
   move.config = std::move(next);
   return move;
 }
@@ -40,18 +17,6 @@ DeltaMove DeltaMove::tsn_between(const TsnConfig& base, TsnConfig next, int clus
   move.tsn_changed = !(base == next);
   move.tsn = std::move(next);
   return move;
-}
-
-AnalysisInvalidation DeltaMove::invalidation() const {
-  AnalysisInvalidation inv;
-  inv.st_slot_count_changed = st_slot_count_changed;
-  inv.st_slot_len_changed = st_slot_len_changed;
-  inv.st_owner_changed = st_owner_changed;
-  inv.minislot_count_changed = minislot_count_changed;
-  inv.changed_message_count = static_cast<std::uint32_t>(frame_id_changed.size());
-  inv.frame_id_window_min = frame_id_window_min;
-  inv.frame_id_window_max = frame_id_window_max;
-  return inv;
 }
 
 }  // namespace flexopt

@@ -55,10 +55,10 @@ DynSearchResult ExhaustiveDynSearch::search(CostEvaluator& evaluator, const BusC
     }
   };
 
-  if (options_.use_delta_evaluation && evaluator.worker_threads() <= 1) {
-    // No pool to fan candidates across: sweep sequentially, each point a
-    // DeltaMove off the previous one (only the DYN-dependent components
-    // are recomputed; results match the batched sweep bit for bit).
+  if (evaluator.worker_threads() <= 1) {
+    // No pool to fan candidates across: sweep sequentially on the
+    // allocation-free delta path, each point a DeltaMove off the previous
+    // one (results match the batched sweep bit for bit).
     std::optional<BusConfig> chain_base;
     if (warm_base != nullptr) chain_base = *warm_base;
     for (int minislots = dyn_min; minislots <= dyn_max; minislots += stride) {
@@ -99,18 +99,16 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
   };
   std::map<int, PointData> points;
 
-  // Fig. 8's points are analysed one at a time: chain each off the
-  // previous one so only the DYN-dependent components are recomputed.
+  // Fig. 8's points are analysed one at a time on the delta path, each
+  // chained off the previous one.
   std::optional<BusConfig> chain_base;
-  if (options_.use_delta_evaluation && warm_base != nullptr) chain_base = *warm_base;
+  if (warm_base != nullptr) chain_base = *warm_base;
 
   auto analyse_point = [&](int minislots) -> const PointData* {
     if (const auto it = points.find(minislots); it != points.end()) return &it->second;
     BusConfig candidate = base;
     candidate.minislot_count = minislots;
-    const auto eval = options_.use_delta_evaluation
-                          ? evaluate_chained(evaluator, chain_base, candidate)
-                          : evaluator.evaluate(candidate);
+    const auto eval = evaluate_chained(evaluator, chain_base, candidate);
     if (!eval.valid) return nullptr;
     PointData data;
     data.cost = eval.cost;

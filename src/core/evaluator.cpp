@@ -18,11 +18,10 @@ namespace flexopt {
 /// Everything else is touched by the owning thread exclusively.
 struct CostEvaluator::ThreadSlot {
   std::mutex mutex;
-  EvaluatorWorkStats stats;       // guarded by mutex
-  AnalysisArena arena;            ///< fixed-point state, reused per evaluation
-  BusLayout layout;               ///< rebuilt in place per candidate
-  Evaluation eval;                ///< evaluate_delta_fast's return storage
-  AnalysisResult base_scratch;    ///< staging for an aliased base
+  EvaluatorWorkStats stats;  // guarded by mutex
+  AnalysisArena arena;       ///< fixed-point state, reused per evaluation
+  BusLayout layout;          ///< rebuilt in place per candidate
+  Evaluation eval;           ///< evaluate_delta_fast's return storage
 };
 
 namespace {
@@ -210,15 +209,13 @@ CostEvaluator::Evaluation CostEvaluator::analyze(const BusConfig& config) {
   }
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   AnalysisWorkCounters counters;
-  // Exact mode routes through the component cache's exact-space store, so
-  // repeat analyses of configurations whose DYN inputs are unchanged replay
-  // the explored frontier instead of re-exploring (bit-identical either
-  // way; asserted below).
-  auto analysis = options_.mode == AnalysisMode::Exact
-                      ? analyze_system_exact(s.layout, options_, &counters, {}, &components_)
-                      : analyze_system(s.layout, options_, &counters);
+  // The component cache serves the schedule tables the delta path built
+  // (and vice versa); in exact mode its exact-space store also replays the
+  // explored frontier of configurations whose DYN inputs are unchanged
+  // (bit-identical either way; asserted below).
+  auto analysis = analyze_system(s.layout, options_, &counters, {}, {}, &components_);
   add_work(counters);
-  count_evaluation(/*delta=*/false, /*seeded=*/false);
+  count_evaluation(/*delta=*/false);
   if (!analysis.ok()) {
     out.error = analysis.error().message;
     return out;
@@ -232,7 +229,7 @@ CostEvaluator::Evaluation CostEvaluator::analyze(const BusConfig& config) {
   // cold exploration, bit for bit — bounds AND engine counters, so a stale
   // or mis-keyed exact-space entry can never hide behind equal costs.
   if (options_.mode == AnalysisMode::Exact && options_.exact.reuse_base_frontier) {
-    auto cold = analyze_system_exact(s.layout, options_);
+    auto cold = analyze_system(s.layout, options_);
     assert(cold.ok());
     if (cold.ok()) {
       const AnalysisResult& ref = cold.value();
@@ -291,15 +288,10 @@ void CostEvaluator::add_work(const AnalysisWorkCounters& counters) {
   s.stats.analysis += counters;
 }
 
-void CostEvaluator::count_evaluation(bool delta, bool seeded) {
+void CostEvaluator::count_evaluation(bool delta) {
   ThreadSlot& s = slot();
   std::lock_guard<std::mutex> lock(s.mutex);
-  if (delta) {
-    ++s.stats.delta_evaluations;
-    if (seeded) ++s.stats.delta_seeded;
-  } else {
-    ++s.stats.full_evaluations;
-  }
+  ++(delta ? s.stats.delta_evaluations : s.stats.full_evaluations);
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate(const BusConfig& config) {
@@ -329,15 +321,13 @@ CostEvaluator::Evaluation CostEvaluator::evaluate(const BusConfig& config) {
   return *entry;
 }
 
-const CostEvaluator::Evaluation& CostEvaluator::delta_fast_impl(
-    const AnalysisResult* base_analysis, const DeltaMove& move) {
+const CostEvaluator::Evaluation& CostEvaluator::delta_fast_impl(const DeltaMove& move) {
   ThreadSlot& s = slot();
   if (options_.mode == AnalysisMode::Exact) {
-    // The incremental engine is holistic-only: exact-mode deltas pay the
-    // full holistic pipeline, but the schedule-space exploration inside it
-    // is incremental — analyze() serves it from the component cache's
-    // exact-space store, so a move that leaves the DYN geometry and message
-    // set untouched replays the base frontier instead of re-exploring.
+    // Exact-mode deltas take the full path: analyze() serves the
+    // schedule-space exploration from the component cache's exact-space
+    // store, so a move that leaves the DYN geometry and message set
+    // untouched replays the base frontier instead of re-exploring.
     s.eval = evaluate(move.config);
     return s.eval;
   }
@@ -365,16 +355,13 @@ const CostEvaluator::Evaluation& CostEvaluator::delta_fast_impl(
     return out;
   }
   evaluations_.fetch_add(1, std::memory_order_relaxed);
-  const AnalysisInvalidation invalidation = move.invalidation();
   AnalysisWorkCounters counters;
-  auto analysis =
-      analyze_system_incremental_into(s.layout, options_, components_, s.arena, out.analysis,
-                                      &counters, base_analysis, &invalidation);
+  auto analysis = analyze_system_incremental_into(s.layout, options_, components_, s.arena,
+                                                  out.analysis, &counters);
   {
     std::lock_guard<std::mutex> lock(s.mutex);
     s.stats.analysis += counters;
     ++s.stats.delta_evaluations;
-    if (base_analysis != nullptr) ++s.stats.delta_seeded;
     // The arena tracks its own lifetime totals; mirroring them (assignment,
     // not accumulation) keeps the sum over slots exact.
     s.stats.arena_binds = s.arena.binds;
@@ -393,16 +380,13 @@ const CostEvaluator::Evaluation& CostEvaluator::delta_fast_impl(
   out.cost = out.analysis.cost;
 
 #ifndef NDEBUG
-  // Debug builds cross-check the delta result against the always-correct
-  // full path, bit for bit.  (analyze_system is called directly so the
-  // verification does not perturb the evaluator's counters.)  The one
-  // tolerated asymmetry: when the full path's holistic iteration cap
-  // truncates a convergent system (never observed in the test
-  // populations), the delta schedule may reach the exact fixed point the
-  // cap pinned away — a strictly tighter sound bound (see incremental.hpp).
+  // Debug builds cross-check the thread slot's reused arena and the shared
+  // component cache against a cold analyze_system (one-shot cache and
+  // arena), bit for bit.  The cold call does not touch the evaluator's
+  // counters.
   auto full = analyze_system(s.layout, options_);
   assert(full.ok() == out.valid);
-  if (full.ok() && !(out.analysis.converged && !full.value().converged)) {
+  if (full.ok()) {
     const AnalysisResult& reference = full.value();
     assert(out.analysis.converged == reference.converged);
     assert(out.analysis.task_completion == reference.task_completion);
@@ -422,6 +406,8 @@ const CostEvaluator::Evaluation& CostEvaluator::delta_fast_impl(
 
 const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(const BusConfig& base,
                                                                     const DeltaMove& move) {
+  // The base is never analysed (every analysis starts from scratch); the
+  // parameter keeps the call shape of the move sites.
   if (focused() || model_.cluster_count() > 1) {
     // Cross-cluster paths allocate; route through the by-value overload and
     // park the result in the slot so the reference contract still holds.
@@ -435,18 +421,11 @@ const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(const BusCon
     s.eval.error = "evaluate_delta: TSN moves go through the SystemConfig overload";
     return s.eval;
   }
-  // Seed from the base's fixed point only when it is a converged analysis
-  // of the configuration the move diffs against.
-  const auto base_eval = cached(base);
-  const AnalysisResult* base_analysis = nullptr;
-  if (base_eval && base_eval->valid && base_eval->analysis.converged) {
-    base_analysis = &base_eval->analysis;
-  }
-  return delta_fast_impl(base_analysis, move);
+  return delta_fast_impl(move);
 }
 
-const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(const Evaluation& base_eval,
-                                                                    const DeltaMove& move) {
+const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(
+    const Evaluation& /*base_eval*/, const DeltaMove& move) {
   if (focused() || model_.cluster_count() > 1) {
     // The base is implicit on these paths (focus context / system config);
     // the BusConfig argument of the sibling overload is unused there.
@@ -460,25 +439,14 @@ const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(const Evalua
     s.eval.error = "evaluate_delta: TSN moves go through the SystemConfig overload";
     return s.eval;
   }
-  const AnalysisResult* base_analysis = nullptr;
-  if (base_eval.valid && base_eval.analysis.converged) {
-    if (&base_eval == &s.eval) {
-      // The caller handed back the slot's own evaluation: stage the base
-      // out before the analysis overwrites it (capacity-reusing copy).
-      s.base_scratch = base_eval.analysis;
-      base_analysis = &s.base_scratch;
-    } else {
-      base_analysis = &base_eval.analysis;
-    }
-  }
-  return delta_fast_impl(base_analysis, move);
+  return delta_fast_impl(move);
 }
 
 CostEvaluator::Evaluation CostEvaluator::evaluate_delta(const BusConfig& base,
                                                         const DeltaMove& move) {
   if (focused()) {
-    // The base is implicit (the focus context); deltas are not seeded
-    // across clusters, so only the substituted candidate matters.  Focused
+    // The base is implicit (the focus context); only the substituted
+    // candidate matters.  Focused
     // clusters are FlexRay by the set_focus guard, so the move's FlexRay
     // payload is the one that applies.
     SystemConfig next = focus_context_;
@@ -566,7 +534,7 @@ CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfi
   auto analysis = analyze_multicluster(model_, layouts.value(), options_, MulticlusterOptions{},
                                        cluster_caches_, &counters);
   add_work(counters);
-  count_evaluation(count_as_delta, /*seeded=*/false);
+  count_evaluation(count_as_delta);
   if (!analysis.ok()) {
     out.error = analysis.error().message;
     return out;

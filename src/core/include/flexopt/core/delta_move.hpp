@@ -1,33 +1,28 @@
 #pragma once
 
 /// \file delta_move.hpp
-/// Description of one neighbour mutation in terms of the decision
-/// variables it changed.  Optimisers that walk the configuration space one
-/// move at a time (SA's neighbour loop, the OBC DYN-length sweeps) build a
-/// DeltaMove instead of handing the evaluator an opaque BusConfig, so
-/// CostEvaluator::evaluate_delta can reuse every analysis component the
-/// move did not invalidate.
+/// One neighbour mutation of a configuration.  Optimisers that walk the
+/// configuration space one move at a time (SA's neighbour loop, the OBC
+/// DYN-length sweeps, the TSN descent) hand the evaluator a DeltaMove
+/// instead of an opaque BusConfig.  A FlexRay move is analysed on the
+/// evaluator's allocation-free delta path: the thread's reused arena plus
+/// the component caches, which serve every schedule table the move left
+/// intact.  The analysis itself always starts from scratch, so the result
+/// does not depend on the base the move was derived from.
 
-#include <cstdint>
-#include <limits>
-#include <vector>
-
-#include "flexopt/analysis/incremental.hpp"
 #include "flexopt/flexray/bus_config.hpp"
 #include "flexopt/model/cluster_backend.hpp"
 
 namespace flexopt {
 
-/// The neighbour configuration plus which decision variables differ from
-/// the base it was derived from.  Build one with DeltaMove::between
-/// (FlexRay) or DeltaMove::tsn_between (TSN) — the flags are a diff, not a
-/// declaration, so they can never understate what changed.
+/// The neighbour configuration of one cluster.  Build one with
+/// DeltaMove::between (FlexRay) or DeltaMove::tsn_between (TSN).
 struct DeltaMove {
   /// Which backend's configuration the move mutates.  FlexRay moves carry
-  /// `config` and feed the incremental analysis pipeline; TSN moves carry
-  /// `tsn` and are evaluated by full per-cluster re-analysis (substituted
-  /// through CostEvaluator::evaluate_delta's system path, which Debug-
-  /// asserts bit-exactness against the cache-free reference).
+  /// `config` and feed the arena analysis path; TSN moves carry `tsn` and
+  /// are evaluated by full per-cluster re-analysis (substituted through
+  /// CostEvaluator::evaluate_delta's system path, which Debug-asserts
+  /// bit-exactness against the cache-free reference).
   ClusterBackendKind backend = ClusterBackendKind::FlexRay;
 
   /// The post-move configuration (of one cluster's bus).
@@ -44,32 +39,12 @@ struct DeltaMove {
   /// moves stamp it explicitly or are stamped by the evaluator.
   int cluster = 0;
 
-  bool st_slot_count_changed = false;
-  bool st_slot_len_changed = false;
-  bool st_owner_changed = false;
-  bool minislot_count_changed = false;
-  /// MessageId indices whose FrameID differs between base and `config`.
-  std::vector<std::uint32_t> frame_id_changed;
-  /// FrameID window [min, max] spanned by the changed messages' base and
-  /// new FrameIDs ([INT_MAX, INT_MIN] when no FrameID changed); the
-  /// interference sets of messages outside it are untouched by the move.
-  int frame_id_window_min = std::numeric_limits<int>::max();
-  int frame_id_window_max = std::numeric_limits<int>::min();
-
-  /// Diffs `next` against `base` (the configuration the move mutated).
+  /// The FlexRay move from `base` to `next`.  The analysis does not read
+  /// the base; the parameter keeps the call shape of every move site.
   [[nodiscard]] static DeltaMove between(const BusConfig& base, BusConfig next);
 
   /// Diffs a TSN neighbour against its base for cluster `cluster`.
   [[nodiscard]] static DeltaMove tsn_between(const TsnConfig& base, TsnConfig next, int cluster);
-
-  [[nodiscard]] bool any_change() const {
-    if (backend == ClusterBackendKind::Tsn) return tsn_changed;
-    return st_slot_count_changed || st_slot_len_changed || st_owner_changed ||
-           minislot_count_changed || !frame_id_changed.empty();
-  }
-  /// The analysis-layer view of this move (FlexRay moves only; TSN moves
-  /// never reach the incremental invalidation machinery).
-  [[nodiscard]] AnalysisInvalidation invalidation() const;
 };
 
 }  // namespace flexopt

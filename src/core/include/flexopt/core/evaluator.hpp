@@ -10,6 +10,14 @@
 /// shared_ptr (evaluations stay valid after the caller's copy goes away),
 /// `evaluate()` may be called concurrently from any number of threads, and
 /// `evaluate_many()` fans a batch of candidates across a worker pool.
+///
+/// Every entry point runs the same holistic fixed point
+/// (analyze_system_incremental_into) against the evaluator's per-cluster
+/// component caches, so a configuration's result does not depend on which
+/// path analysed it first.  The full path (evaluate, evaluate_system) runs
+/// it through analyze_system with a one-shot arena; the delta path
+/// (evaluate_delta_fast) runs it in the calling thread's reused arena,
+/// allocation-free at steady state.
 
 #include <atomic>
 #include <condition_variable>
@@ -69,12 +77,11 @@ struct EvaluatorCacheStats {
 
 /// Work accounting across full and delta evaluations (monotonic over the
 /// evaluator's lifetime).  `analysis.components()` is the recomputed-work
-/// metric the perf-smoke CI gate compares between the two paths.
+/// metric.
 struct EvaluatorWorkStats {
   AnalysisWorkCounters analysis;
   std::uint64_t full_evaluations = 0;   ///< evaluate() analyses (cache misses)
   std::uint64_t delta_evaluations = 0;  ///< evaluate_delta() analyses
-  std::uint64_t delta_seeded = 0;       ///< delta analyses seeded from a converged base
   std::uint64_t arena_binds = 0;        ///< analysis arenas (re)allocated
   std::uint64_t arena_reuses = 0;       ///< steady-state arena rebinds (no allocation)
   /// Response-time recurrences actually recomputed per delta evaluation
@@ -88,7 +95,6 @@ struct EvaluatorWorkStats {
     analysis += other.analysis;
     full_evaluations += other.full_evaluations;
     delta_evaluations += other.delta_evaluations;
-    delta_seeded += other.delta_seeded;
     arena_binds += other.arena_binds;
     arena_reuses += other.arena_reuses;
     components_per_delta += other.components_per_delta;
@@ -101,7 +107,6 @@ struct EvaluatorWorkStats {
     d.analysis = analysis.since(before.analysis);
     d.full_evaluations = full_evaluations - before.full_evaluations;
     d.delta_evaluations = delta_evaluations - before.delta_evaluations;
-    d.delta_seeded = delta_seeded - before.delta_seeded;
     d.arena_binds = arena_binds - before.arena_binds;
     d.arena_reuses = arena_reuses - before.arena_reuses;
     d.components_per_delta = components_per_delta.since(before.components_per_delta);
@@ -162,12 +167,11 @@ class CostEvaluator {
   /// exactly evaluate(config.clusters[0].flexray).
   Evaluation evaluate_system(const SystemConfig& config);
 
-  /// Incremental analysis of a neighbour: evaluates `move.config`
-  /// recomputing only the analysis components the move invalidated,
-  /// reusing the rest from the component caches and (when `base` is a
-  /// cached, converged evaluation) from the base's fixed point.  The
-  /// result is bit-identical to evaluate(move.config) — asserted against
-  /// the full path in Debug builds — and is entered into the same
+  /// Analysis of a neighbour on the delta path: evaluates `move.config` in
+  /// this thread's reused arena, serving every schedule table the move
+  /// left intact from the component cache.  `base` is not analysed.  The
+  /// result is bit-identical to evaluate(move.config) — asserted against a
+  /// cold analyze_system in Debug builds — and is entered into the same
   /// configuration cache.  Thread-safe.
   Evaluation evaluate_delta(const BusConfig& base, const DeltaMove& move);
 
@@ -182,18 +186,16 @@ class CostEvaluator {
   /// back to the allocating evaluate_delta path internally.
   const Evaluation& evaluate_delta_fast(const BusConfig& base, const DeltaMove& move);
 
-  /// Same, with the base supplied directly instead of being looked up in
-  /// the memo cache — the form callers with a disabled cache use (SA, the
-  /// delta benchmark).  `base_eval` must stay alive for the duration of the
-  /// call; passing the reference returned by a previous evaluate_delta_fast
-  /// on this thread is allowed (the base is staged out of the slot first).
+  /// Same, with the base given as an Evaluation — the form SA's accept loop
+  /// and the delta benchmark use.  `base_eval` is not read; passing the
+  /// reference returned by a previous evaluate_delta_fast on this thread is
+  /// allowed.
   const Evaluation& evaluate_delta_fast(const Evaluation& base_eval, const DeltaMove& move);
 
   /// Multi-cluster delta: `move.cluster` names the cluster whose BusConfig
-  /// the move replaces within `base`.  Cross-cluster coupling invalidates
-  /// the seeded fast path, so the result is recomputed through the
-  /// per-cluster component caches (geometry components of untouched
-  /// clusters are reused) and is bit-identical to
+  /// the move replaces within `base`.  The substituted system is analysed
+  /// through the per-cluster component caches (geometry components of
+  /// untouched clusters are reused) and is bit-identical to
   /// evaluate_system(substituted) — asserted in Debug builds.
   Evaluation evaluate_delta(const SystemConfig& base, const DeltaMove& move);
 
@@ -265,9 +267,9 @@ class CostEvaluator {
   /// The uncached path: in-place layout assign + analyze_system + Eq. 5.
   Evaluation analyze(const BusConfig& config);
   /// The delta hot path shared by evaluate_delta and evaluate_delta_fast:
-  /// memo-cache check, in-place layout assign, arena-based incremental
-  /// analysis into the slot's Evaluation.
-  const Evaluation& delta_fast_impl(const AnalysisResult* base_analysis, const DeltaMove& move);
+  /// memo-cache check, in-place layout assign, analysis in the slot's
+  /// arena into the slot's Evaluation.
+  const Evaluation& delta_fast_impl(const DeltaMove& move);
   /// The uncached multi-cluster paths (full + delta-accounted).
   Evaluation analyze_system_config(const SystemConfig& config, bool count_as_delta);
   Evaluation evaluate_system_impl(const SystemConfig& config, bool count_as_delta,
@@ -281,7 +283,7 @@ class CostEvaluator {
   std::shared_ptr<const Evaluation> cached_system(const SystemConfig& config);
   void insert_system_cache(const SystemConfig& config, std::shared_ptr<const Evaluation> entry);
   void add_work(const AnalysisWorkCounters& counters);
-  void count_evaluation(bool delta, bool seeded);
+  void count_evaluation(bool delta);
   [[nodiscard]] const std::shared_ptr<const Application>& search_app() const {
     return focused() ? model_.cluster_app(static_cast<std::size_t>(focus_cluster_)) : app_;
   }

@@ -120,7 +120,9 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
   const std::size_t C = model.cluster_count();
   // Work accounting aggregates the per-pass reports, not the parent
   // evaluator's counters: a portfolio pass races its members on sibling
-  // evaluators whose analyses the parent never sees.
+  // evaluators whose analyses the parent never sees.  Work done outside a
+  // FlexRay pass (the initial evaluation, TSN descents) is read off the
+  // parent evaluator's counters around it.
   long spent_evaluations = 0;
   auto spent = [&] { return spent_evaluations; };
 
@@ -136,14 +138,23 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
   }
 
   SolveReport report;
+  // Charges work read off the parent evaluator's counters to the report.
+  auto add_parent_work = [&](const EvaluatorWorkStats& work) {
+    report.delta_evaluations += work.delta_evaluations;
+    report.components_recomputed += work.analysis.components();
+    report.components_reused += work.components_reused();
+    report.profile += work;
+  };
   Cost best{kInvalidConfigCost, false, 0};
   {
     // Charged by what actually ran: a repeat solve on the same evaluator
     // serves this from the system cache and spends nothing.
     const long evals_before = evaluator.evaluations();
     const EvaluatorCacheStats cache_before = evaluator.cache_stats();
+    const EvaluatorWorkStats work_before = evaluator.work_stats();
     const auto initial = evaluator.evaluate_system(incumbent);
     const EvaluatorCacheStats cache_after = evaluator.cache_stats();
+    add_parent_work(evaluator.work_stats().since(work_before));
     spent_evaluations += evaluator.evaluations() - evals_before;
     report.cache_hits += cache_after.hits - cache_before.hits;
     report.cache_misses += cache_after.misses - cache_before.misses;
@@ -209,9 +220,11 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
         // through the SystemConfig delta path against the same full
         // cross-cluster cost.
         const EvaluatorCacheStats cache_before = evaluator.cache_stats();
+        const EvaluatorWorkStats work_before = evaluator.work_stats();
         TsnSearchResult tsn =
             tsn_coordinate_descent(evaluator, incumbent, static_cast<int>(c), pass_request);
         const EvaluatorCacheStats cache_after = evaluator.cache_stats();
+        add_parent_work(evaluator.work_stats().since(work_before));
         spent_evaluations += tsn.evaluations;
         report.cache_hits += cache_after.hits - cache_before.hits;
         report.cache_misses += cache_after.misses - cache_before.misses;
@@ -236,6 +249,7 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
       report.delta_evaluations += pass.delta_evaluations;
       report.components_recomputed += pass.components_recomputed;
       report.components_reused += pass.components_reused;
+      report.profile += pass.profile;
 
       // Built by append rather than operator+ chaining: GCC 12's inliner
       // raises a spurious -Wrestrict on the temporary chain.

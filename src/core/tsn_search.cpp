@@ -106,7 +106,7 @@ TsnSearchResult tsn_coordinate_descent(CostEvaluator& evaluator, const SystemCon
     accepted = sweep_neighbourhood(app, result.config, [&](TsnConfig next) {
       if (control.should_stop(evaluator)) return true;  // abort the sweep
       DeltaMove move = DeltaMove::tsn_between(result.config, std::move(next), cluster);
-      if (!move.any_change()) return false;
+      if (!move.tsn_changed) return false;
       const auto eval = evaluator.evaluate_delta(current, move);
       if (!eval.valid || eval.cost.value >= result.cost.value) return false;
       result.cost = eval.cost;

@@ -142,10 +142,14 @@ std::string write_solve_json(const Application& app, std::string_view algorithm,
   // Additive within v5: the profile block carries the exact-engine counters
   // (exact_states_explored, exact_states_deduped, exact_frontier_reused) —
   // zero on holistic solves, so existing consumers see only new keys.
+  // Schema v6 delta: the profile block drops `delta_seeded` (the analysis
+  // does not seed from a base evaluation) and gains `fps_cap_hits` (FPS
+  // recurrences stopped at the iteration cap) after
+  // `fixed_point_iterations`.
   const bool multicluster = outcome.system.cluster_count() > 1;
   JsonWriter json;
   json.begin_object();
-  json.field("schema", "flexopt-solve-report/5");
+  json.field("schema", "flexopt-solve-report/6");
   json.key("system").begin_object();
   json.field("tasks", app.task_count())
       .field("messages", app.message_count())
@@ -180,6 +184,7 @@ std::string write_solve_json(const Application& app, std::string_view algorithm,
       .begin_object()
       .field("holistic_iterations", profile.analysis.holistic_iterations)
       .field("fixed_point_iterations", profile.analysis.fixed_point_iterations)
+      .field("fps_cap_hits", profile.analysis.fps_cap_hits)
       .field("fps_analyses", profile.analysis.fps_analyses)
       .field("fps_skipped", profile.analysis.fps_skipped)
       .field("dyn_analyses", profile.analysis.dyn_analyses)
@@ -190,7 +195,6 @@ std::string write_solve_json(const Application& app, std::string_view algorithm,
       .field("exact_states_deduped", profile.analysis.exact_states_deduped)
       .field("exact_frontier_reused", profile.analysis.exact_frontier_reused)
       .field("full_evaluations", profile.full_evaluations)
-      .field("delta_seeded", profile.delta_seeded)
       .field("arena_binds", profile.arena_binds)
       .field("arena_reuses", profile.arena_reuses);
   const Histogram& per_delta = profile.components_per_delta;

@@ -22,6 +22,9 @@ struct FixedPointResult {
   /// Number of evaluations of f performed, on every exit path (convergence,
   /// horizon overrun, saturation wrap, iteration cap alike).
   int iterations = 0;
+  /// True when the iteration stopped at `max_iterations` with the iterate
+  /// still inside the horizon — neither converged nor proven divergent.
+  bool capped = false;
 };
 
 /// Iterate t <- f(t) from t = `seed` (default 0) until convergence or
@@ -56,7 +59,10 @@ FixedPointResult iterate_to_fixed_point(F&& f, Time horizon, int max_iterations 
       return result;
     }
     t = next;
-    if (result.iterations >= max_iterations) return result;
+    if (result.iterations >= max_iterations) {
+      result.capped = true;
+      return result;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "flexopt/analysis/list_scheduler.hpp"
 #include "helpers.hpp"
 
@@ -133,9 +135,18 @@ TEST(ListScheduler, FailsWhenSlotsHopelesslyOversubscribed) {
   const NodeId n1 = app.add_node("N1");
   const GraphId g = app.add_graph("g", timeunits::us(100), timeunits::us(100));
   for (int i = 0; i < 20; ++i) {
-    const TaskId s = app.add_task(g, "s" + std::to_string(i), n0, 1, TaskPolicy::Scs);
-    const TaskId r = app.add_task(g, "r" + std::to_string(i), n1, 1, TaskPolicy::Scs);
-    app.add_message(g, "m" + std::to_string(i), s, r, 4, MessageClass::Static);
+    // Names are appended rather than built with operator+, which GCC 12
+    // flags with a spurious -Wrestrict.
+    const std::string index = std::to_string(i);
+    std::string sender = "s";
+    std::string receiver = "r";
+    std::string message = "m";
+    sender += index;
+    receiver += index;
+    message += index;
+    const TaskId s = app.add_task(g, sender, n0, 1, TaskPolicy::Scs);
+    const TaskId r = app.add_task(g, receiver, n1, 1, TaskPolicy::Scs);
+    app.add_message(g, message, s, r, 4, MessageClass::Static);
   }
   ASSERT_TRUE(app.finalize().ok());
   BusConfig config;

@@ -158,7 +158,7 @@ TEST(BackendDispatch, MixedThreeClusterSolvesEndToEnd) {
   ASSERT_TRUE(eval.valid);
   EXPECT_EQ(eval.cost.value, report.outcome.cost.value);
   const std::string json = write_solve_json(*model.value().global(), "bbc", report);
-  EXPECT_NE(json.find("flexopt-solve-report/5"), std::string::npos);
+  EXPECT_NE(json.find("flexopt-solve-report/6"), std::string::npos);
   EXPECT_NE(json.find("\"backend\": \"tsn\""), std::string::npos);
   EXPECT_NE(json.find("\"backend\": \"flexray\""), std::string::npos);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "flexopt/core/mapping.hpp"
 #include "flexopt/core/solver.hpp"
@@ -12,6 +13,14 @@
 namespace flexopt {
 namespace {
 
+/// `prefix` followed by `i`; appended rather than built with operator+,
+/// which GCC 12 flags with a spurious -Wrestrict.
+std::string indexed_name(const char* prefix, int i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
 /// Two graphs (one TT, one ET), six tasks, a flow chain in each.
 LogicalApplication small_logical() {
   LogicalApplication l;
@@ -19,10 +28,10 @@ LogicalApplication small_logical() {
   l.graphs.push_back({"tt", timeunits::ms(10), timeunits::ms(10), true});
   l.graphs.push_back({"et", timeunits::ms(20), timeunits::ms(20), false});
   for (int i = 0; i < 3; ++i) {
-    l.tasks.push_back({"t" + std::to_string(i), 0, timeunits::us(300 + 100 * i), i});
+    l.tasks.push_back({indexed_name("t", i), 0, timeunits::us(300 + 100 * i), i});
   }
   for (int i = 0; i < 3; ++i) {
-    l.tasks.push_back({"e" + std::to_string(i), 1, timeunits::us(200 + 100 * i), i});
+    l.tasks.push_back({indexed_name("e", i), 1, timeunits::us(200 + 100 * i), i});
   }
   l.flows.push_back({0, 1, 8, 0});
   l.flows.push_back({1, 2, 8, 1});

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <string>
 
+#include "flexopt/campaign/spec_format.hpp"
 #include "flexopt/core/config_builder.hpp"
 #include "flexopt/core/solver.hpp"
 #include "flexopt/gen/scenario.hpp"
@@ -182,7 +185,45 @@ TEST(MulticlusterSolve, PortfolioJobsDoNotChangeTheReport) {
   const std::string parallel = solve_with_jobs(4);
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("cluster_configs"), std::string::npos);
-  EXPECT_NE(serial.find("flexopt-solve-report/5"), std::string::npos);
+  EXPECT_NE(serial.find("flexopt-solve-report/6"), std::string::npos);
+}
+
+TEST(MulticlusterSolve, ProfileCountsEveryAnalysisOfTheDescent) {
+  // Scenario 0 of specs/multicluster.campaign, solved exactly like the
+  // campaign runner does: the report's profile must account for every
+  // analysis the evaluator ran — the initial evaluation and every
+  // coordinate pass.
+  std::ifstream in(std::string(FLEXOPT_SOURCE_DIR) + "/specs/multicluster.campaign");
+  auto spec = parse_campaign(in);
+  ASSERT_TRUE(spec.ok()) << spec.error().message;
+  auto plans = expand_grid(spec.value());
+  ASSERT_TRUE(plans.ok()) << plans.error().message;
+  ASSERT_FALSE(plans.value().empty());
+  const ScenarioPlan& plan = plans.value()[0];
+  const BusParams params;
+  auto app = generate_scenario(plan.scenario, params);
+  ASSERT_TRUE(app.ok()) << app.error().message;
+  auto model = SystemModel::build(std::make_shared<const Application>(std::move(app).value()));
+  ASSERT_TRUE(model.ok()) << model.error().message;
+  ASSERT_GT(model.value().cluster_count(), 1u);
+
+  auto optimizer = OptimizerRegistry::create("bbc");
+  ASSERT_TRUE(optimizer.ok());
+  EvaluatorOptions options;
+  options.threads = 1;
+  CostEvaluator evaluator(model.value(), params, AnalysisOptions{}, options);
+  SolveRequest request;
+  request.seed = plan.scenario.base.seed;
+  request.max_evaluations = spec.value().max_evaluations;
+  const SolveReport report = optimizer.value()->solve(evaluator, request);
+
+  const EvaluatorWorkStats work = evaluator.work_stats();
+  ASSERT_GT(work.full_evaluations, 0u);
+  EXPECT_EQ(report.profile.full_evaluations, work.full_evaluations);
+  EXPECT_EQ(report.profile.delta_evaluations, work.delta_evaluations);
+  EXPECT_EQ(report.profile.analysis.components(), work.analysis.components());
+  EXPECT_EQ(report.delta_evaluations, work.delta_evaluations);
+  EXPECT_EQ(report.components_recomputed, work.analysis.components());
 }
 
 }  // namespace

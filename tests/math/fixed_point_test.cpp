@@ -24,6 +24,7 @@ TEST(FixedPoint, DetectsDivergencePastHorizon) {
   const auto f = [](Time t) { return t + 10; };
   const auto r = iterate_to_fixed_point(f, 100);
   EXPECT_FALSE(r.converged);
+  EXPECT_FALSE(r.capped);  // proven divergent, not stopped by the cap
   EXPECT_EQ(r.value, kTimeInfinity);
 }
 
@@ -39,6 +40,8 @@ TEST(FixedPoint, IterationCapGuards) {
   const auto f = [](Time t) { return t + 1; };
   const auto r = iterate_to_fixed_point(f, kTimeInfinity - 10, /*max_iterations=*/50);
   EXPECT_FALSE(r.converged);
+  EXPECT_TRUE(r.capped);
+  EXPECT_EQ(r.iterations, 50);
 }
 
 // `iterations` counts evaluations of f on every exit path — the profiling

@@ -389,6 +389,10 @@ int solve_main(int argc, char** argv) {
       std::cout << ", " << fmt_double(profile.components_per_delta.mean(), 1)
                 << " components/delta";
     }
+    if (profile.analysis.fps_cap_hits > 0) {
+      std::cout << ", " << profile.analysis.fps_cap_hits
+                << " FPS recurrences stopped at the iteration cap";
+    }
     std::cout << "\n";
     if (profile.analysis.exact_states_explored > 0 ||
         profile.analysis.exact_frontier_reused > 0) {
