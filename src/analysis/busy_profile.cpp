@@ -92,21 +92,32 @@ Time BusyProfile::busy_between(Time from, Time to) const {
 
 Time BusyProfile::max_busy_in_window(Time w) const {
   if (w <= 0 || intervals_.empty()) return 0;
-  // Inlined busy_between(iv.start, iv.start + w): the window always starts
-  // at an interval start, whose prefix is prefix_at_start_[i] — no lookup —
-  // so only the window end needs a binary search.  This is the innermost
-  // loop of the FPS fixed point; halving the upper_bound count matters.
+  // Window i is [s_i, s_i + w): its busy time is
+  //   k * total + prefix(to mod P) - prefix_at_start_[i],  k = to / P.
+  // The window ends rise with i and span less than one period, so `to mod
+  // P` increases except for at most one wrap into the next period.  A
+  // single forward pointer `j` (intervals starting at or before the end)
+  // therefore replaces a binary search per window.  This is the innermost
+  // loop of the FPS fixed point.
+  const std::size_t n = intervals_.size();
   Time best = 0;
-  for (std::size_t i = 0; i < intervals_.size(); ++i) {
+  std::size_t j = 0;
+  std::int64_t k_prev = -1;
+  for (std::size_t i = 0; i < n; ++i) {
     const Time to = intervals_[i].start + w;
-    const std::int64_t to_period = to / period_;
-    const Time to_local = to % period_;
-    const Time busy =
-        to_period == 0
-            ? prefix(to_local) - prefix_at_start_[i]
-            : (total_busy_ - prefix_at_start_[i]) + (to_period - 1) * total_busy_ +
-                  prefix(to_local);
-    best = std::max(best, busy);
+    const std::int64_t k = to / period_;
+    const Time to_local = to - k * period_;
+    if (k != k_prev) {
+      j = 0;  // first window, or the wrap into the next period
+      k_prev = k;
+    }
+    while (j < n && intervals_[j].start <= to_local) ++j;
+    Time prefix_end = 0;
+    if (j > 0) {
+      const Interval& iv = intervals_[j - 1];
+      prefix_end = prefix_at_start_[j - 1] + std::min(to_local, iv.end) - iv.start;
+    }
+    best = std::max(best, k * total_busy_ + prefix_end - prefix_at_start_[i]);
   }
   return best;
 }

@@ -8,8 +8,8 @@ namespace flexopt {
 
 void CostAccumulator::add(const Application& app, std::span<const Time> task_completions,
                           std::span<const Time> message_completions) {
-  auto account = [&](ActivityRef a, Time completion) {
-    const Time deadline = app.effective_deadline(a);
+  const std::span<const Time> deadlines = app.deadlines();
+  auto account = [&](Time deadline, Time completion) {
     if (is_infinite(completion)) {
       ++unbounded_activities;
       overshoot_us += to_us(deadline) * kUnboundedPenaltyFactor;
@@ -20,11 +20,10 @@ void CostAccumulator::add(const Application& app, std::span<const Time> task_com
     laxity_us += to_us(slack);
   };
 
-  for (std::uint32_t t = 0; t < app.task_count(); ++t) {
-    account(ActivityRef::task(static_cast<TaskId>(t)), task_completions[t]);
-  }
-  for (std::uint32_t m = 0; m < app.message_count(); ++m) {
-    account(ActivityRef::message(static_cast<MessageId>(m)), message_completions[m]);
+  const std::size_t n_tasks = app.task_count();
+  for (std::size_t t = 0; t < n_tasks; ++t) account(deadlines[t], task_completions[t]);
+  for (std::size_t m = 0; m < app.message_count(); ++m) {
+    account(deadlines[n_tasks + m], message_completions[m]);
   }
 }
 

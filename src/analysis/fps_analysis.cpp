@@ -45,9 +45,22 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 }
 
 Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyProfile& scs,
-                           Time horizon, std::span<const Time> seeds) {
+                           Time horizon, std::span<const Time> seeds, Time bound) {
+  // Each task's term is at least min(horizon, jitter + seed): a seeded
+  // iteration starts at the seed and only rises, and an unbounded response
+  // is charged as `horizon`.  `remaining` sums these floors over the tasks
+  // not yet analysed, so sum + remaining never exceeds the final sum.  If
+  // the floors saturate, so does the final sum, and the first check below
+  // returns it exactly.
+  Time remaining = 0;
+  const auto floor_of = [&](std::size_t i) {
+    return seeds.empty() ? Time{0} : std::min(horizon, sat_add(same_node[i].jitter, seeds[i]));
+  };
+  for (std::size_t i = 0; i < seeds.size(); ++i) remaining = sat_add(remaining, floor_of(i));
   Time sum = 0;
   for (std::size_t i = 0; i < same_node.size(); ++i) {
+    const Time at_least = sat_add(sum, remaining);
+    if (at_least >= bound) return at_least;
     Time r;
     if (!seeds.empty() && is_infinite(seeds[i])) {
       // The seed diverged against a *subset* of this profile's
@@ -58,6 +71,7 @@ Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyP
                             seeds.empty() ? 0 : seeds[i]);
     }
     sum = sat_add(sum, is_infinite(r) ? horizon : r);
+    remaining -= floor_of(i);
   }
   return sum;
 }

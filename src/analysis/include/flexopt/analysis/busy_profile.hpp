@@ -60,7 +60,9 @@ class BusyProfile {
   /// interference term S(w) in the FPS response-time recurrence.  The
   /// maximum is attained with the window starting at some interval start
   /// (standard sliding-window argument), so only |intervals| candidates are
-  /// evaluated.
+  /// evaluated.  O(|intervals|): the window ends are located by one forward
+  /// pointer that wraps into the next period at most once, not by a
+  /// binary search per window.
   [[nodiscard]] Time max_busy_in_window(Time w) const;
 
   /// Earliest instant t >= from such that [t, t + len) is completely idle

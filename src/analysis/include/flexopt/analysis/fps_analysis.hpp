@@ -48,11 +48,14 @@ struct FpsTaskParams {
 /// (the profiling counters' work axis).  `seed` is a pre-jitter seed for
 /// the busy-window iteration (see iterate_to_fixed_point): it must be a
 /// least-fixed-point lower bound, e.g. the converged busy value of the
-/// same task against a subset of the SCS interference.  The returned
-/// response is identical to the unseeded call; only the iteration count
-/// shrinks.  `cap_hits` (optional) counts recurrences stopped at the
-/// 10,000-iteration cap (reported unbounded although they never crossed
-/// the horizon).
+/// same task against a subset of the SCS interference.  Such a seed leaves
+/// the least fixed point unchanged and shrinks the iteration count, so the
+/// returned response equals the unseeded call's whenever the unseeded
+/// recurrence converges within the 10,000-iteration cap.  It can differ
+/// when it does not: the seeded run, starting closer, may converge where
+/// the unseeded one stops at the cap and reports unbounded.  `cap_hits`
+/// (optional) counts recurrences stopped at the cap (reported unbounded
+/// although they never crossed the horizon).
 Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams> same_node,
                        const BusyProfile& scs, Time horizon, int* fp_iterations = nullptr,
                        Time seed = 0, int* cap_hits = nullptr);
@@ -64,8 +67,17 @@ Time fps_response_time(const FpsTaskParams& task, std::span<const FpsTaskParams>
 /// per-task busy-value seeds computed against an interference *subset* —
 /// the base placement profile; an infinite seed short-circuits that task
 /// to an infinite response (exact: more interference can only grow a
-/// diverged recurrence).  The sum is bit-identical with and without seeds.
+/// diverged recurrence).  With and without seeds the sum is the same unless
+/// an unseeded recurrence stops at the iteration cap (see
+/// fps_response_time).
+///
+/// `bound` prunes: the result is the exact sum when that is below `bound`,
+/// and otherwise some value >= `bound`.  Tasks are analysed in order, and
+/// the call stops once the partial sum plus the remaining tasks' seed
+/// floors (jitter + seed, at most `horizon`; 0 without seeds) reaches
+/// `bound` — the list scheduler passes its best candidate's cost so far.
 Time fps_response_time_sum(std::span<const FpsTaskParams> same_node, const BusyProfile& scs,
-                           Time horizon, std::span<const Time> seeds = {});
+                           Time horizon, std::span<const Time> seeds = {},
+                           Time bound = kTimeInfinity);
 
 }  // namespace flexopt

@@ -143,6 +143,7 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
     }
   }
 
+  const std::span<const Time> deadlines = app.deadlines();
   const std::vector<Time> priority = critical_paths(layout, 0);
   // Delay budget for FPS-aware placement: reserve a full bus cycle per
   // downstream message hop (worst-case slot wait) so delaying an SCS task
@@ -262,7 +263,7 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
       // critical-path remainder (successor tasks, plus one bus cycle of
       // slot wait per message hop) is reserved, so no placement choice can
       // by itself push this task's TT chain past its deadline.
-      const Time deadline = app.effective_deadline(js.job.activity);
+      const Time deadline = deadlines[slot_of(js.job.activity)];
       const Time latest =
           js.job.release + deadline - alap_reserve[slot_of(js.job.activity)];
       const Time span = latest - js.asap;
@@ -302,9 +303,12 @@ Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
         const Interval extra{s % H, s % H + task.wcet};
         clamp_merge_into(tl.intervals(), cand_merged, &extra);
         cand_profile.assign_normalized(cand_merged, H);
-        const Time cost = fps_response_time_sum(fps, cand_profile, 4 * H, base_seeds);
-        // Prefer lower FPS impact; ties go to the earlier start so the
-        // schedule stays as compact as ASAP placement allows.
+        // Bounded by the best cost so far: a candidate stops as soon as its
+        // partial sum plus the other tasks' seeds reaches it, since it can
+        // then no longer win.  Prefer lower FPS impact; ties go to the
+        // earlier start so the schedule stays as compact as ASAP placement
+        // allows.
+        const Time cost = fps_response_time_sum(fps, cand_profile, 4 * H, base_seeds, best_cost);
         if (cost < best_cost) {
           best_cost = cost;
           chosen = s;

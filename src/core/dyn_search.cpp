@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <optional>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "flexopt/analysis/sat_time.hpp"
@@ -85,11 +86,13 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
   // Completion bounds are fitted in microseconds; unbounded completions are
   // mapped to the same 10x-deadline magnitude the cost function charges, so
   // interpolated costs rank configurations consistently with exact ones.
+  // Activities are indexed tasks then messages throughout.
   const std::size_t n_tasks = app.task_count();
-  const std::size_t n_msgs = app.message_count();
-  auto completion_to_us = [&](ActivityRef a, Time completion) {
+  const std::size_t n = app.activity_count();
+  const std::span<const Time> deadlines = app.deadlines();
+  auto completion_to_us = [&](std::size_t i, Time completion) {
     if (!is_infinite(completion)) return to_us(completion);
-    return to_us(app.effective_deadline(a)) * kUnboundedPenaltyFactor;
+    return to_us(deadlines[i]) * kUnboundedPenaltyFactor;
   };
 
   /// One fully analysed point (Fig. 8, set `Points`).
@@ -98,6 +101,7 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
     std::vector<double> completions_us;  // tasks then messages
   };
   std::map<int, PointData> points;
+  int last_point = 0;  // abscissa of the most recently analysed point
 
   // Fig. 8's points are analysed one at a time on the delta path, each
   // chained off the previous one.
@@ -112,67 +116,16 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
     if (!eval.valid) return nullptr;
     PointData data;
     data.cost = eval.cost;
-    data.completions_us.reserve(n_tasks + n_msgs);
+    data.completions_us.reserve(n);
     for (std::size_t t = 0; t < n_tasks; ++t) {
-      data.completions_us.push_back(completion_to_us(
-          ActivityRef::task(static_cast<TaskId>(t)), eval.analysis.task_completion[t]));
+      data.completions_us.push_back(completion_to_us(t, eval.analysis.task_completion[t]));
     }
-    for (std::size_t m = 0; m < n_msgs; ++m) {
+    for (std::size_t m = 0; n_tasks + m < n; ++m) {
       data.completions_us.push_back(
-          completion_to_us(ActivityRef::message(static_cast<MessageId>(m)),
-                           eval.analysis.message_completion[m]));
+          completion_to_us(n_tasks + m, eval.analysis.message_completion[m]));
     }
+    last_point = minislots;
     return &points.emplace(minislots, std::move(data)).first->second;
-  };
-
-  // Interpolated cost at `minislots` from per-activity Newton fits.
-  // Curves are rebuilt lazily whenever the point set grows.  Activities
-  // whose completion bound does not vary across the analysed points (the
-  // common case for most tasks) are short-circuited to a constant, which
-  // keeps the per-candidate scan cheap.
-  std::size_t curves_built_from = 0;
-  std::vector<ResponseTimeCurve> curves;
-  std::vector<bool> is_constant;
-  std::vector<double> constant_us;
-  auto rebuild_curves = [&]() {
-    if (curves_built_from == points.size()) return;
-    const std::size_t n = n_tasks + n_msgs;
-    curves.assign(n, ResponseTimeCurve{});
-    is_constant.assign(n, true);
-    constant_us.assign(n, 0.0);
-    bool first = true;
-    for (const auto& [x, data] : points) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (first) {
-          constant_us[i] = data.completions_us[i];
-        } else if (data.completions_us[i] != constant_us[i]) {
-          is_constant[i] = false;
-        }
-      }
-      first = false;
-    }
-    for (const auto& [x, data] : points) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!is_constant[i]) {
-          (void)curves[i].add_point(static_cast<double>(x), data.completions_us[i]);
-        }
-      }
-    }
-    curves_built_from = points.size();
-  };
-
-  std::vector<Time> task_c(n_tasks);
-  std::vector<Time> msg_c(n_msgs);
-  auto interpolated_cost = [&](int minislots) -> Cost {
-    rebuild_curves();
-    auto value_at = [&](std::size_t i) {
-      const double us =
-          is_constant[i] ? constant_us[i] : curves[i].evaluate(static_cast<double>(minislots));
-      return static_cast<Time>(std::llround(us * 1e3));
-    };
-    for (std::size_t t = 0; t < n_tasks; ++t) task_c[t] = value_at(t);
-    for (std::size_t m = 0; m < n_msgs; ++m) msg_c[m] = value_at(n_tasks + m);
-    return evaluate_cost(app, task_c, msg_c);
   };
 
   // Fig. 8 line 1: initial point set including both endpoints.  Spacing is
@@ -204,6 +157,111 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
                          ? options_.stride_minislots
                          : auto_stride(span, options_.max_candidates);
 
+  // The candidate grid x = dyn_min + r * stride, one table row per x.  A
+  // row holds every activity's interpolated completion (rounded to Time)
+  // and the Eq. 5 cost of those values; rows at analysed points carry the
+  // exact cost instead.  The table follows the point set: when a point is
+  // added, only the cells whose fit changed are re-interpolated, and only
+  // the rows with a moved value are re-costed.
+  const std::size_t n_rows =
+      dyn_max >= dyn_min ? static_cast<std::size_t>((dyn_max - dyn_min) / stride) + 1 : 0;
+  auto row_x = [&](std::size_t r) { return dyn_min + static_cast<int>(r) * stride; };
+  auto mark_exact = [&](int x, const PointData& data) {
+    if (x < dyn_min || x > dyn_max || (x - dyn_min) % stride != 0) return;
+    const auto r = static_cast<std::size_t>((x - dyn_min) / stride);
+    grid_exact_[r] = 1;
+    grid_cost_[r] = data.cost.value;
+  };
+  // Fits activity i through every analysed point in ascending x: Newton's
+  // divided differences depend on the insertion order bit for bit.
+  auto refit = [&](std::size_t i) {
+    ResponseTimeCurve& curve = curves_[i];
+    curve.clear();
+    for (const auto& [x, data] : points) {
+      (void)curve.add_point(static_cast<double>(x), data.completions_us[i]);
+    }
+  };
+  // Re-interpolates activity i on rows [lo, hi), marking rows that moved.
+  auto refresh = [&](std::size_t i, std::size_t lo, std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      if (grid_exact_[r]) continue;
+      const double us = is_constant_[i] ? constant_us_[i]
+                                        : curves_[i].evaluate(static_cast<double>(row_x(r)));
+      const Time value = static_cast<Time>(std::llround(us * 1e3));
+      Time& cell = grid_values_[r * n + i];
+      if (cell != value) {
+        cell = value;
+        grid_dirty_[r] = 1;
+      }
+    }
+  };
+  auto rebuild_table = [&]() {
+    curves_.resize(n);
+    is_constant_.assign(n, 1);
+    constant_us_.assign(n, 0.0);
+    grid_values_.resize(n_rows * n);
+    grid_cost_.assign(n_rows, 0.0);
+    grid_dirty_.assign(n_rows, 1);
+    grid_exact_.assign(n_rows, 0);
+    for (const auto& [x, data] : points) mark_exact(x, data);
+    const std::vector<double>& first = points.begin()->second.completions_us;
+    for (std::size_t i = 0; i < n; ++i) {
+      constant_us_[i] = first[i];
+      for (const auto& [x, data] : points) {
+        if (data.completions_us[i] != first[i]) is_constant_[i] = 0;
+      }
+      if (!is_constant_[i]) refit(i);
+      refresh(i, 0, n_rows);
+    }
+  };
+  // Folds the point at `x` into a table that holds every other point.  A
+  // constant activity that keeps its value is untouched; one that starts
+  // to vary, and every Newton fit, changes everywhere.  A piecewise-linear
+  // fit changes only strictly between the new point's neighbours.
+  auto add_to_table = [&](int x) {
+    const auto it = points.find(x);
+    const PointData& data = it->second;
+    mark_exact(x, data);
+    std::size_t lo = 0;
+    std::size_t hi = n_rows;
+    if (it != points.begin()) {
+      const int left = std::prev(it)->first;
+      while (lo < n_rows && row_x(lo) <= left) ++lo;
+    }
+    if (const auto next = std::next(it); next != points.end()) {
+      while (hi > lo && row_x(hi - 1) >= next->first) --hi;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (is_constant_[i]) {
+        if (data.completions_us[i] == constant_us_[i]) continue;
+        is_constant_[i] = 0;
+        refit(i);
+        refresh(i, 0, n_rows);
+        continue;
+      }
+      const bool was_linear = curves_[i].piecewise_linear();
+      refit(i);
+      refresh(i, was_linear ? lo : 0, was_linear ? hi : n_rows);
+    }
+  };
+  std::size_t table_points = 0;  // points the table reflects
+  auto sync_table = [&]() {
+    if (table_points == points.size()) return;
+    if (table_points > 0 && table_points + 1 == points.size()) {
+      add_to_table(last_point);
+    } else {
+      rebuild_table();
+    }
+    table_points = points.size();
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      if (!grid_dirty_[r]) continue;
+      grid_dirty_[r] = 0;
+      if (grid_exact_[r]) continue;
+      const std::span<const Time> row(grid_values_.data() + r * n, n);
+      grid_cost_[r] = evaluate_cost(app, row.first(n_tasks), row.subspan(n_tasks)).value;
+    }
+  };
+
   DynSearchResult best_exact;
   auto note_exact = [&](int x, const Cost& cost) {
     if (cost.value < best_exact.cost.value) {
@@ -219,19 +277,17 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
   while (stale_iterations < options_.n_max && !stop_requested()) {
     const double previous_best = best_exact.cost.value;
 
-    // Fig. 8 lines 6-11: scan all candidates, interpolating where needed,
-    // and select the minimum-cost one.
+    // Fig. 8 lines 6-11: scan all candidates, interpolated or exact, and
+    // select the minimum-cost one.
+    sync_table();
     int best_x = dyn_min;
     double best_cost_value = kInvalidConfigCost;
     bool best_is_exact = false;
-    for (int x = dyn_min; x <= dyn_max; x += stride) {
-      const auto it = points.find(x);
-      const double value = it != points.end() ? it->second.cost.value
-                                              : interpolated_cost(x).value;
-      if (value < best_cost_value) {
-        best_cost_value = value;
-        best_x = x;
-        best_is_exact = it != points.end();
+    for (std::size_t r = 0; r < n_rows; ++r) {
+      if (grid_cost_[r] < best_cost_value) {
+        best_cost_value = grid_cost_[r];
+        best_x = row_x(r);
+        best_is_exact = grid_exact_[r] != 0;
       }
     }
 
@@ -257,12 +313,11 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
       // add the best *interpolated* point instead to gain information.
       int next_x = -1;
       double next_cost = kInvalidConfigCost;
-      for (int x = dyn_min; x <= dyn_max; x += stride) {
-        if (points.contains(x)) continue;
-        const double value = interpolated_cost(x).value;
-        if (value < next_cost) {
-          next_cost = value;
-          next_x = x;
+      for (std::size_t r = 0; r < n_rows; ++r) {
+        if (grid_exact_[r]) continue;
+        if (grid_cost_[r] < next_cost) {
+          next_cost = grid_cost_[r];
+          next_x = row_x(r);
         }
       }
       if (next_x < 0) break;  // grid exhausted

@@ -11,8 +11,10 @@
 ///   schedulable length is confirmed or Nmax stale iterations pass.
 
 #include <memory>
+#include <vector>
 
 #include "flexopt/core/evaluator.hpp"
+#include "flexopt/math/interpolation.hpp"
 
 namespace flexopt {
 
@@ -75,6 +77,10 @@ struct CurveFitDynOptions {
   int max_candidates = 128;
 };
 
+/// Curve-fit search (OBC-CF).  The candidate grid's interpolated values
+/// and costs live in one table per search, updated incrementally as the
+/// set of analysed points grows; its buffers are reused across searches,
+/// so one instance must not run two searches at once.
 class CurveFitDynSearch final : public DynSegmentStrategy {
  public:
   explicit CurveFitDynSearch(CurveFitDynOptions options = {}) : options_(options) {}
@@ -85,6 +91,18 @@ class CurveFitDynSearch final : public DynSegmentStrategy {
 
  private:
   CurveFitDynOptions options_;
+  // Per-activity fits (tasks then messages).  An activity whose completion
+  // bound is equal at every analysed point is held as `constant_us_`.
+  std::vector<ResponseTimeCurve> curves_;
+  std::vector<char> is_constant_;
+  std::vector<double> constant_us_;
+  // The grid table: per candidate row, the rounded interpolated completion
+  // of every activity (row-major), the row's cost, and whether the row is
+  // an analysed point (its cost then is the exact one).
+  std::vector<Time> grid_values_;
+  std::vector<double> grid_cost_;
+  std::vector<char> grid_dirty_;
+  std::vector<char> grid_exact_;
 };
 
 }  // namespace flexopt

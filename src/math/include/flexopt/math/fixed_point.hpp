@@ -31,15 +31,16 @@ struct FixedPointResult {
 /// t > horizon.  `f` must be monotone non-decreasing for the result to be
 /// the least fixed point (standard RTA argument).
 ///
-/// `seed` accelerates convergence without changing the result: for any
-/// seed with seed <= lfp(f) and seed <= f(seed), the iteration converges
-/// to the same least fixed point as from 0, and escapes the horizon iff
-/// the from-0 iteration does (f monotone makes the seeded iterates
-/// dominate the unseeded ones pointwise).  The canonical safe seed is the
-/// converged value of the same recurrence against a subset of the
-/// interference — e.g. the base-profile response in the list scheduler's
-/// candidate ranking.  Only `iterations` differs between seeded and
-/// unseeded runs.
+/// `seed` accelerates convergence: for any seed with seed <= lfp(f) and
+/// seed <= f(seed), the iteration converges to the same least fixed point
+/// as from 0, and escapes the horizon iff the from-0 iteration does (f
+/// monotone makes the seeded iterates dominate the unseeded ones
+/// pointwise).  The canonical safe seed is the converged value of the same
+/// recurrence against a subset of the interference — e.g. the
+/// base-profile response in the list scheduler's candidate ranking.  The
+/// result is the same as the unseeded run's only when neither run stops
+/// at `max_iterations`: the seeded run needs fewer iterations, so it can
+/// converge where the unseeded one is `capped`.
 template <typename F>
 FixedPointResult iterate_to_fixed_point(F&& f, Time horizon, int max_iterations = 10'000,
                                         Time seed = 0) {

@@ -34,6 +34,9 @@ class NewtonPolynomial {
   /// Number of samples.
   [[nodiscard]] std::size_t size() const { return xs_.size(); }
 
+  /// Drops every sample, keeping the buffers.
+  void clear();
+
   /// Evaluate the interpolant at x (Horner on the Newton form).
   /// Requires at least one point.
   [[nodiscard]] double evaluate(double x) const;
@@ -80,6 +83,11 @@ class ResponseTimeCurve {
   Expected<bool> add_point(double x, double y);
   [[nodiscard]] double evaluate(double x) const;
   [[nodiscard]] std::size_t size() const { return xs_.size(); }
+  /// True when evaluate() uses the piecewise-linear fallback (more than
+  /// `max_newton_points` samples).
+  [[nodiscard]] bool piecewise_linear() const { return xs_.size() > options_.max_newton_points; }
+  /// Drops every sample, keeping the buffers.
+  void clear();
 
  private:
   Options options_;

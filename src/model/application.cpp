@@ -81,10 +81,12 @@ void Application::add_dependency(TaskId from, TaskId to) {
 
 void Application::set_task_deadline(TaskId task, Time deadline) {
   tasks_[index_of(task)].deadline = deadline;
+  if (finalized_) derive_deadlines();
 }
 
 void Application::set_message_deadline(MessageId message, Time deadline) {
   messages_[index_of(message)].deadline = deadline;
+  if (finalized_) derive_deadlines();
 }
 
 void Application::set_task_release_offset(TaskId task, Time offset) {
@@ -99,6 +101,7 @@ void Application::set_message_size(MessageId message, int size_bytes) {
 
 void Application::set_graph_deadline(GraphId graph, Time deadline) {
   graphs_[index_of(graph)].deadline = deadline;
+  if (finalized_) derive_deadlines();
 }
 
 Expected<bool> Application::finalize() {
@@ -213,8 +216,20 @@ Expected<bool> Application::finalize() {
   }
   if (topo_order_.size() != n) return make_error("precedence constraints contain a cycle");
 
+  derive_deadlines();
   finalized_ = true;
   return true;
+}
+
+void Application::derive_deadlines() {
+  deadlines_.clear();
+  deadlines_.reserve(activity_count());
+  for (std::uint32_t t = 0; t < tasks_.size(); ++t) {
+    deadlines_.push_back(effective_deadline(ActivityRef::task(static_cast<TaskId>(t))));
+  }
+  for (std::uint32_t m = 0; m < messages_.size(); ++m) {
+    deadlines_.push_back(effective_deadline(ActivityRef::message(static_cast<MessageId>(m))));
+  }
 }
 
 Expected<bool> Application::derive_routes() {

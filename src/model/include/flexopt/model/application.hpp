@@ -209,6 +209,14 @@ class Application {
   [[nodiscard]] Time model_cost(ActivityRef a) const;
   /// Effective deadline: the individual one if set, otherwise the graph's.
   [[nodiscard]] Time effective_deadline(ActivityRef a) const;
+  /// effective_deadline of every activity, tasks then messages (index
+  /// TaskId, then task_count() + MessageId): the flat table the cost
+  /// function and the schedulers read per activity.  Built by finalize()
+  /// and kept current by the deadline setters.
+  [[nodiscard]] std::span<const Time> deadlines() const {
+    require_finalized();
+    return deadlines_;
+  }
   [[nodiscard]] const std::string& activity_name(ActivityRef a) const;
 
   /// Period of the graph the activity belongs to.
@@ -243,6 +251,8 @@ class Application {
   std::vector<std::pair<TaskId, TaskId>> task_deps_;
 
   Expected<bool> derive_routes();
+  /// Refills deadlines_ from the individual and graph deadlines.
+  void derive_deadlines();
 
   // Derived, filled by finalize():
   bool finalized_ = false;
@@ -252,6 +262,7 @@ class Application {
   std::size_t cluster_count_ = 1;
   bool cross_cluster_messages_ = false;
   std::vector<MessageRoute> routes_;  ///< indexed by MessageId
+  std::vector<Time> deadlines_;       ///< see deadlines()
   /// Declared backends, indexed by cluster; clusters beyond the vector are
   /// FlexRay.  finalize() validates indices against cluster_count_.
   std::vector<ClusterBackendKind> cluster_backends_;

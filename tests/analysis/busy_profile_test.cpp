@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "flexopt/util/rng.hpp"
+
 namespace flexopt {
 namespace {
 
@@ -80,6 +86,67 @@ TEST(BusyProfile, EarliestGapSpansPeriods) {
 TEST(BusyProfile, ClampsOutOfRangeIntervals) {
   const BusyProfile p({{-5, 3}, {8, 15}}, 10);
   EXPECT_EQ(p.busy_per_period(), 3 + 2);
+}
+
+/// Oracle for max_busy_in_window: the brute-force maximum of busy_between
+/// over every integer window start in one period (busy_between is periodic
+/// in its start, so [0, P) covers every placement).
+Time brute_max_busy(const BusyProfile& p, Time w) {
+  Time best = 0;
+  for (Time x = 0; x < p.period(); ++x) best = std::max(best, p.busy_between(x, x + w));
+  return best;
+}
+
+/// Window lengths that hit every branch of the one-pass scan: empty and
+/// unit windows, sub-period windows, exactly one period, longer windows,
+/// and windows that end just before, on and just after a period multiple.
+std::vector<Time> probe_windows(Time period, Rng& rng) {
+  std::vector<Time> ws = {0, 1, period - 1, period, period + 1};
+  ws.push_back(rng.uniform_int(1, std::max<Time>(1, period - 1)));
+  ws.push_back(period + rng.uniform_int(1, period));
+  for (const Time k : {2, 3, 7}) {
+    ws.push_back(k * period - 1);
+    ws.push_back(k * period);
+    ws.push_back(k * period + 1);
+  }
+  return ws;
+}
+
+void expect_matches_oracle(const BusyProfile& p, Rng& rng, const std::string& what) {
+  for (const Time w : probe_windows(p.period(), rng)) {
+    EXPECT_EQ(p.max_busy_in_window(w), brute_max_busy(p, w))
+        << what << " period=" << p.period() << " w=" << w;
+  }
+}
+
+TEST(BusyProfile, MaxBusyInWindowMatchesBruteForceOnRandomProfiles) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const Time period = 20 + rng.uniform_int(0, 180);
+    std::vector<Interval> intervals;
+    const int n = static_cast<int>(rng.uniform_int(0, 12));
+    for (int i = 0; i < n; ++i) {
+      const Time start = rng.uniform_int(0, period - 1);
+      const Time end = std::min(period, start + rng.uniform_int(1, period / 4 + 1));
+      intervals.push_back({start, end});
+    }
+    expect_matches_oracle(BusyProfile(intervals, period), rng, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(BusyProfile, MaxBusyInWindowMatchesBruteForceOnEdgeProfiles) {
+  Rng rng(99);
+  const Time period = 40;
+  expect_matches_oracle(BusyProfile({}, period), rng, "empty");
+  expect_matches_oracle(BusyProfile({{7, 19}}, period), rng, "single interval");
+  expect_matches_oracle(BusyProfile({{0, period}}, period), rng, "full period");
+  expect_matches_oracle(BusyProfile({{0, 5}, {31, period}}, period), rng, "touching 0 and P");
+  expect_matches_oracle(BusyProfile({{0, 1}}, period), rng, "unit at 0");
+  expect_matches_oracle(BusyProfile({{period - 1, period}}, period), rng, "unit at P-1");
+  expect_matches_oracle(BusyProfile({{0, 3}, {4, 9}, {12, 13}, {39, 40}}, period), rng,
+                        "dense with a wrap");
+  // Period 1 is the degenerate default of an unassigned profile.
+  expect_matches_oracle(BusyProfile({{0, 1}}, 1), rng, "period 1, full");
 }
 
 }  // namespace
