@@ -7,12 +7,19 @@
 // holistic-vs-exact pessimism gap per system (BENCH_exact.json, published
 // by the perf-smoke CI job).
 //
-// Two perf phases follow the population sweep:
+// Three perf phases follow the population sweep:
 //
-// Scaling: re-analyses the whole population at ExactOptions::jobs 1/2/4/8
-// and reports the states/sec curve.  Every per-cluster outcome (bounds,
-// cost, fallback, engine counters) must be bit-identical to the jobs=1
-// reference — the parallel engine trades wall time only, never results.
+// Worker-count identity: re-analyses the whole population at
+// ExactOptions::jobs 1/2/4/8.  The exploration is serial and ignores the
+// knob, so every per-cluster outcome (bounds, cost, fallback, engine
+// counters) must be bit-identical to the jobs=1 reference.
+//
+// Engine vs oracle: explores every cluster of the population (minimal
+// start, converged holistic jitters) with the production engine and with
+// the sharded, mask-enumerating reference engine in
+// tests/exact_space_oracle.hpp, on this thread, and compares results and
+// states/s.  The ratio is a same-process, same-input comparison, so it
+// does not depend on the runner's speed or core count.
 //
 // Exact-delta warm replay (mirroring bench_delta_eval): an SA-style
 // neighbour-move trajectory over fig9 systems is recorded once to warm the
@@ -31,9 +38,8 @@
 //     is visible in the per-system fallback column and the JSON, and
 // (4) determinism — jobs 1/2/4/8 outcomes bit-identical, and
 // (5) reuse — the warm-replay reuse ratio clears --min-reuse-ratio, and
-// (6) scaling — jobs=8 states/sec clears --min-speedup x the jobs=1 rate,
-//     enforced only on machines with >= 8 hardware threads (elsewhere the
-//     curve is still printed/published, the floor is skipped).
+// (6) engine speed — the production engine's states/s clears
+//     --min-speedup x the oracle's, with bit-identical results.
 
 #include <algorithm>
 #include <chrono>
@@ -42,10 +48,11 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exact_space_oracle.hpp"
+#include "flexopt/analysis/exact/schedule_space.hpp"
 #include "flexopt/analysis/exact/exact_analysis.hpp"
 #include "flexopt/analysis/multicluster.hpp"
 #include "flexopt/core/config_builder.hpp"
@@ -151,7 +158,7 @@ bool analyze_exact_system(const Application& app, const BusParams& params,
   return true;
 }
 
-/// One system of the bench population, retained for the scaling phase.
+/// One system of the bench population, retained for the replay phases.
 struct PopEntry {
   std::string workload;
   int index = 0;
@@ -214,7 +221,7 @@ bool exact_signatures(const Application& app, const BusParams& params,
   return true;
 }
 
-/// One point of the jobs scaling curve.
+/// One worker-count replay of the population.
 struct ScalingPoint {
   int jobs = 1;
   std::uint64_t states = 0;
@@ -222,6 +229,58 @@ struct ScalingPoint {
   double rate = 0.0;
   bool identical = true;  ///< vs the jobs=1 reference signatures
 };
+
+/// Engine-vs-oracle totals over every explored cluster.
+struct OracleComparison {
+  std::size_t clusters = 0;
+  std::uint64_t states = 0;  ///< explored states per pass (both engines)
+  bool identical = true;
+};
+
+/// Explores every FlexRay cluster of `app` under its minimal start with
+/// both engines, `passes` times each, accumulating per-pass wall time into
+/// `engine_wall` / `oracle_wall` (indexed by pass).  Skips a system whose
+/// minimal start is infeasible.
+void compare_with_oracle(const Application& app, const BusParams& params,
+                         const ExactOptions& exact_options, int passes, OracleComparison& out,
+                         std::vector<double>& engine_wall, std::vector<double>& oracle_wall) {
+  auto model = SystemModel::build(std::make_shared<const Application>(app));
+  if (!model.ok()) throw std::runtime_error(model.error().message);
+  SystemConfig config;
+  for (std::size_t c = 0; c < model.value().cluster_count(); ++c) {
+    const StartConfig start = minimal_start_config(*model.value().cluster_app(c), params);
+    if (!start.bounds.feasible()) return;
+    config.clusters.push_back(ClusterConfig::flexray_bus(start.config));
+  }
+  auto layouts = build_system_layouts(model.value(), params, config);
+  if (!layouts.ok()) throw std::runtime_error(layouts.error().message);
+  const AnalysisOptions options;
+  auto holistic = analyze_multicluster(model.value(), layouts.value(), options);
+  if (!holistic.ok()) throw std::runtime_error(holistic.error().message);
+  for (std::size_t c = 0; c < model.value().cluster_count(); ++c) {
+    const auto horizon = analysis_horizon(*model.value().cluster_app(c), options);
+    if (!horizon.ok()) throw std::runtime_error(horizon.error().message);
+    const BusLayout& layout = layouts.value()[c].flexray();
+    const std::vector<Time>& jitter = holistic.value().clusters[c].message_jitter;
+    ++out.clusters;
+    for (int pass = 0; pass < passes; ++pass) {
+      auto started = std::chrono::steady_clock::now();
+      const ScheduleSpaceResult got =
+          explore_dyn_schedule_space(layout, jitter, horizon.value(), exact_options);
+      engine_wall[static_cast<std::size_t>(pass)] += seconds_since(started);
+      started = std::chrono::steady_clock::now();
+      const ScheduleSpaceResult want =
+          testing::exact_space_oracle(layout, jitter, horizon.value(), exact_options);
+      oracle_wall[static_cast<std::size_t>(pass)] += seconds_since(started);
+      if (pass == 0) out.states += want.explored_states;
+      out.identical = out.identical && got.fallback == want.fallback &&
+                      got.worst_completion == want.worst_completion &&
+                      got.explored_states == want.explored_states &&
+                      got.merged_states == want.merged_states &&
+                      got.transitions == want.transitions;
+    }
+  }
+}
 
 /// Warm-replay exact-delta measurement for one fig9 system.
 struct DeltaResult {
@@ -451,10 +510,8 @@ int main(int argc, char** argv) {
             << " states/s aggregate, mean pessimism gap " << fmt_percent(aggregate_gap)
             << " over " << gap_systems << " non-fallback systems\n";
 
-  // ---- scaling phase: states/sec at jobs 1/2/4/8, bit-identity gate -------
-  std::cout << "\n== Parallel exploration scaling (ExactOptions::jobs) ==\n";
-  const unsigned hardware = std::thread::hardware_concurrency();
-  std::cout << "hardware threads: " << hardware << "\n";
+  // ---- worker-count identity: jobs 1/2/4/8 are accepted and ignored ------
+  std::cout << "\n== Worker-count identity (ExactOptions::jobs, ignored) ==\n";
   std::vector<ScalingPoint> scaling;
   std::vector<std::vector<ClusterSig>> reference_sigs;  // one entry per system, jobs=1
   bool jobs_identical = true;
@@ -494,16 +551,34 @@ int main(int argc, char** argv) {
                            point.identical ? "yes" : "NO"});
   }
   scaling_table.print(std::cout);
-  const double rate_1 = scaling.empty() ? 0.0 : scaling.front().rate;
-  const double rate_8 = scaling.empty() ? 0.0 : scaling.back().rate;
-  const double speedup = rate_1 > 0.0 ? rate_8 / rate_1 : 0.0;
-  // The speedup floor needs the parallelism to exist: on narrow machines
-  // the curve is informational and the floor is skipped (the determinism
-  // comparison above always runs).
-  const bool speedup_gate_active = hardware >= 8;
-  std::cout << "speedup jobs=8 vs jobs=1: " << fmt_double(speedup, 2) << "x (floor "
-            << fmt_double(min_speedup, 1) << "x "
-            << (speedup_gate_active ? "active" : "skipped: < 8 hardware threads") << ")\n";
+
+  // ---- engine vs oracle: same inputs, same thread, states/s ratio --------
+  std::cout << "\n== Engine vs oracle (tests/exact_space_oracle.hpp) ==\n";
+  constexpr int kOraclePasses = 3;
+  OracleComparison oracle;
+  std::vector<double> engine_walls(kOraclePasses, 0.0);
+  std::vector<double> oracle_walls(kOraclePasses, 0.0);
+  try {
+    for (const PopEntry& entry : population) {
+      compare_with_oracle(entry.app, params, exact_options, kOraclePasses, oracle, engine_walls,
+                          oracle_walls);
+    }
+  } catch (const std::exception& e) {
+    std::cerr << "engine vs oracle: " << e.what() << "\n";
+    all_ok = false;
+  }
+  const auto best_rate = [&](const std::vector<double>& walls) {
+    const double wall = *std::min_element(walls.begin(), walls.end());
+    return wall > 0.0 ? static_cast<double>(oracle.states) / wall : 0.0;
+  };
+  const double engine_rate = best_rate(engine_walls);
+  const double oracle_rate = best_rate(oracle_walls);
+  const double speedup = oracle_rate > 0.0 ? engine_rate / oracle_rate : 0.0;
+  std::cout << oracle.clusters << " clusters, " << oracle.states << " states per pass, best of "
+            << kOraclePasses << ": engine " << fmt_double(engine_rate, 0) << " states/s, oracle "
+            << fmt_double(oracle_rate, 0) << " states/s, speedup " << fmt_double(speedup, 2)
+            << "x (floor " << fmt_double(min_speedup, 1) << "x), results "
+            << (oracle.identical ? "identical" : "DIFFER") << "\n";
 
   // ---- exact-delta warm replay: cross-move exploration reuse --------------
   std::cout << "\n== Exact-delta warm replay (reuse_base_frontier, memo cache off) ==\n";
@@ -576,8 +651,8 @@ int main(int argc, char** argv) {
           .end_object();
     }
     json.end_array();
-    // Schema additions (all additive): the jobs scaling curve, the
-    // exact-delta warm-replay block, and the gate parameters.
+    // Schema additions: the worker-count replays, the engine-vs-oracle
+    // block, the exact-delta warm-replay block, and the gate parameters.
     json.key("scaling").begin_array();
     for (const ScalingPoint& point : scaling) {
       json.begin_object()
@@ -589,8 +664,15 @@ int main(int argc, char** argv) {
           .end_object();
     }
     json.end_array();
-    json.field("speedup_jobs8", speedup);
-    json.field("speedup_gate_active", speedup_gate_active);
+    json.key("oracle")
+        .begin_object()
+        .field("clusters", oracle.clusters)
+        .field("states", oracle.states)
+        .field("engine_states_per_second", engine_rate)
+        .field("oracle_states_per_second", oracle_rate)
+        .field("speedup", speedup)
+        .field("identical", oracle.identical)
+        .end_object();
     json.key("delta").begin_object();
     json.field("moves_per_system", moves);
     json.key("systems").begin_array();
@@ -616,7 +698,6 @@ int main(int argc, char** argv) {
         .begin_object()
         .field("min_reuse_ratio", min_reuse_ratio)
         .field("min_speedup", min_speedup)
-        .field("hardware_threads", static_cast<std::uint64_t>(hardware))
         .end_object();
     json.end_object();
     std::ofstream out(out_path, std::ios::binary);
@@ -632,7 +713,7 @@ int main(int argc, char** argv) {
     const bool gap_ok = gap_systems > 0 && aggregate_gap > 0.0;
     const bool reuse_ok = !delta_results.empty() && delta_identical &&
                           reuse_ratio >= min_reuse_ratio;
-    const bool speedup_ok = !speedup_gate_active || speedup >= min_speedup;
+    const bool speedup_ok = oracle.identical && speedup >= min_speedup;
     if (rows.empty() || !all_ok || !gap_ok || !jobs_identical || !reuse_ok || !speedup_ok) {
       std::cerr << "CHECK FAILED: " << rows.size() << " systems, all_ok=" << all_ok
                 << ", non-fallback systems=" << gap_systems
@@ -644,19 +725,16 @@ int main(int argc, char** argv) {
                   << "x (identical=" << delta_identical << ")\n";
       }
       if (!speedup_ok) {
-        std::cerr << "  jobs=8 speedup " << fmt_double(speedup, 2) << "x below floor "
-                  << fmt_double(min_speedup, 1) << "x\n";
+        std::cerr << "  engine vs oracle: speedup " << fmt_double(speedup, 2) << "x (floor "
+                  << fmt_double(min_speedup, 1) << "x), results "
+                  << (oracle.identical ? "identical" : "differ") << "\n";
       }
       return 1;
     }
     std::cout << "CHECK OK: observed <= exact <= holistic on " << rows.size()
               << " systems, mean pessimism gap " << fmt_percent(aggregate_gap)
               << ", jobs 1/2/4/8 bit-identical, reuse ratio " << fmt_double(reuse_ratio, 1)
-              << "x"
-              << (speedup_gate_active
-                      ? ", jobs=8 speedup " + fmt_double(speedup, 2) + "x"
-                      : "")
-              << "\n";
+              << "x, engine " << fmt_double(speedup, 2) << "x the oracle's states/s\n";
   }
   return 0;
 }

@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <condition_variable>
+#include <cstdint>
 #include <cstring>
-#include <functional>
 #include <limits>
-#include <mutex>
-#include <thread>
+#include <numeric>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "flexopt/analysis/sat_time.hpp"
 #include "flexopt/flexray/bus_layout.hpp"
+#include "flexopt/math/hyperperiod.hpp"
 
 namespace flexopt {
 namespace {
@@ -30,185 +29,431 @@ struct DynMsg {
   std::uint32_t jobs = 0;   ///< jobs released in the exploration window
 };
 
-/// Fixed shard count, independent of the worker count: shard membership is
-/// a pure function of the state key, so the merged frontier — and every
-/// counter derived from it — cannot depend on the thread schedule.
-constexpr std::size_t kShardBits = 5;
-constexpr std::size_t kShards = std::size_t{1} << kShardBits;
+/// Readiness of a pending head job in the cycle being expanded.
+enum class Ready : std::uint8_t { No, Must, Maybe };
 
-/// FNV-1a over the transmitted-count words.  The top bits pick the shard,
-/// the low bits probe the shard's open-addressing table, so the two uses
-/// stay decorrelated.
-std::uint64_t hash_key(const std::uint32_t* row, std::size_t width) {
+/// Dominance scope above the sweep limit: the top kGroupBits of a key's
+/// hash.
+constexpr std::size_t kGroupBits = 5;
+constexpr std::size_t kGroups = std::size_t{1} << kGroupBits;
+
+/// FNV-1a over the transmitted-count words.
+std::uint64_t key_hash(const std::uint32_t* key, std::size_t width) {
   std::uint64_t h = 1469598103934665603ull;
   for (std::size_t i = 0; i < width; ++i) {
-    h ^= row[i];
+    h ^= key[i];
     h *= 1099511628211ull;
   }
   return h;
 }
 
-std::size_t shard_of(std::uint64_t hash) { return hash >> (64 - kShardBits); }
+constexpr std::uint32_t kEmptySlot = std::numeric_limits<std::uint32_t>::max();
 
-/// Persistent fork-join crew: `run(fn)` executes fn(worker) on every worker
-/// (worker 0 is the calling thread) and returns when all are done.  One
-/// worker degenerates to an inline call — no threads, no synchronisation.
-class WorkerCrew {
- public:
-  explicit WorkerCrew(int workers) : workers_(workers) {
-    threads_.reserve(static_cast<std::size_t>(workers_ > 0 ? workers_ - 1 : 0));
-    for (int w = 1; w < workers_; ++w) {
-      threads_.emplace_back([this, w] { thread_main(w); });
-    }
-  }
-
-  WorkerCrew(const WorkerCrew&) = delete;
-  WorkerCrew& operator=(const WorkerCrew&) = delete;
-
-  ~WorkerCrew() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    start_cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  [[nodiscard]] int workers() const { return workers_; }
-
-  void run(const std::function<void(int)>& fn) {
-    if (workers_ <= 1) {
-      fn(0);
-      return;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      fn_ = &fn;
-      remaining_ = workers_ - 1;
-      ++generation_;
-    }
-    start_cv_.notify_all();
-    fn(0);
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return remaining_ == 0; });
-    fn_ = nullptr;
-  }
-
- private:
-  void thread_main(int worker) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(int)>* fn = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        fn = fn_;
-      }
-      (*fn)(worker);
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (--remaining_ == 0) done_cv_.notify_one();
-      }
-    }
-  }
-
-  int workers_;
-  std::vector<std::thread> threads_;
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(int)>* fn_ = nullptr;
-  int remaining_ = 0;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-};
-
-/// A partially walked bus cycle: the next FrameID slot and an index into the
-/// walk pool row holding the counts accumulated on this branch.
+/// A partially walked bus cycle: the next FrameID slot, the offset of the
+/// key accumulated on this branch in the walk pool, and how many maybe-ready
+/// heads the branch has decided so far.
 struct Walk {
   int fid = 1;
   std::int64_t counter = 1;
   Time slot_time = 0;
   std::size_t sent_at = 0;
+  int decided = 0;
 };
 
-/// Per-worker exploration scratch.  Successors are staged in `out[target
-/// shard]` (flat SoA rows) — the lock-free handoff to the merge phase —
-/// and counters accumulate cycle-locally before the deterministic
-/// (order-independent) reduction at the barrier.
-struct WorkerScratch {
-  std::array<std::vector<std::uint32_t>, kShards> out;
-  std::vector<Time> worst;            ///< per DynMsg worst finish - release
-  std::uint64_t transitions = 0;      ///< terminal walks this cycle
-  std::uint64_t pending = 0;          ///< successors routed (not all-done)
-  std::vector<char> must;
-  std::vector<char> ready;
-  std::vector<std::size_t> maybe;
-  std::vector<std::size_t> tied;
-  std::vector<Walk> stack;
-  std::vector<std::uint32_t> pool;    ///< walk rows, stride = dyn count
+/// A transmission chosen at the current FrameID slot.
+struct Fork {
+  std::size_t message = 0;  ///< index into the DYN message table
+  int decided = 0;
 };
-
-/// One frontier shard: unique state keys as flat SoA rows (stride = dyn
-/// count), kept sorted lexicographically — the deterministic (key, order)
-/// tie-break every phase iterates in.
-using Shard = std::vector<std::uint32_t>;
-
-bool row_all_done(const std::uint32_t* row, const std::vector<DynMsg>& dyn) {
-  for (std::size_t i = 0; i < dyn.size(); ++i) {
-    if (row[i] < dyn[i].jobs) return false;
-  }
-  return true;
-}
-
-bool row_less(const std::uint32_t* a, const std::uint32_t* b, std::size_t width) {
-  return std::lexicographical_compare(a, a + width, b, b + width);
-}
 
 /// `b` covers `a`: pointwise b <= a over distinct keys — b is at least as
 /// far behind everywhere, so b's reachable finishes include a's.
-bool row_covers(const std::uint32_t* b, const std::uint32_t* a, std::size_t width) {
-  bool covers = true;
-  for (std::size_t i = 0; i < width; ++i) covers &= b[i] <= a[i];
-  return covers;
+bool covers(const std::uint32_t* b, const std::uint32_t* a, std::size_t width) {
+  bool result = true;
+  for (std::size_t i = 0; i < width; ++i) result &= b[i] <= a[i];
+  return result;
 }
 
-/// Drops every row covered by another row of `rows` (the dependency-free
-/// form of the dominance sweep: cover chains terminate at minimal elements,
-/// so "covered by anyone" equals "covered by a survivor").  Returns the
-/// number of rows dropped; survivors keep their relative order.
-std::uint64_t dominance_sweep(Shard& rows, std::size_t width) {
-  const std::size_t n = rows.size() / width;
-  if (n < 2) return 0;
-  std::vector<char> dead(n, 0);
-  for (std::size_t a = 0; a < n; ++a) {
-    const std::uint32_t* ra = rows.data() + a * width;
-    for (std::size_t b = 0; b < n; ++b) {
-      if (a == b) continue;
-      if (row_covers(rows.data() + b * width, ra, width)) {
-        dead[a] = 1;
+/// The exploration of one cluster.  States are flat rows of `width`
+/// transmitted counts (one per DYN message, in MessageId order).
+class Explorer {
+ public:
+  Explorer(const BusLayout& layout, std::vector<DynMsg> dyn, const ExactOptions& options)
+      : dyn_(std::move(dyn)),
+        width_(dyn_.size()),
+        max_fid_(layout.max_frame_id()),
+        fid_begin_(static_cast<std::size_t>(max_fid_) + 2, 0),
+        p_latest_(static_cast<std::size_t>(max_fid_) + 1, -1),
+        cycle_len_(layout.cycle_len()),
+        st_len_(layout.st_segment_len()),
+        gd_(layout.params().gd_minislot),
+        minislot_count_(layout.config().minislot_count),
+        // The walk weights a leaf by 2^(undecided maybe heads) in 64 bits;
+        // anything near that is hopeless anyway, so the cap is clamped well
+        // below.
+        max_branch_(static_cast<std::size_t>(std::clamp(options.max_branch_messages, 1, 20))),
+        options_(options),
+        frontier_(width_, 0),
+        ready_(width_, Ready::No),
+        worst_(width_, 0) {
+    // Per-FrameID candidates in deterministic arbitration order; the
+    // engine's CHI multiset orders by (priority, ready, job), so priority
+    // decides between distinct ready messages and everything tied forks.
+    candidates_.resize(width_);
+    std::iota(candidates_.begin(), candidates_.end(), std::size_t{0});
+    std::sort(candidates_.begin(), candidates_.end(), [&](std::size_t a, std::size_t b) {
+      return std::make_tuple(dyn_[a].fid, dyn_[a].priority, dyn_[a].message) <
+             std::make_tuple(dyn_[b].fid, dyn_[b].priority, dyn_[b].message);
+    });
+    for (const DynMsg& d : dyn_) ++fid_begin_[static_cast<std::size_t>(d.fid) + 1];
+    std::partial_sum(fid_begin_.begin(), fid_begin_.end(), fid_begin_.begin());
+    for (int fid = 1; fid <= max_fid_; ++fid) {
+      NodeId owner{};
+      if (layout.frame_id_owner(fid, &owner)) p_latest_[fid] = layout.p_latest_tx(owner);
+    }
+  }
+
+  /// Walks bus cycles until the frontier empties or `max_cycles` pass.
+  void run(Time max_cycles, ScheduleSpaceResult& result) {
+    // Committed counters hold completed cycles only: a mid-cycle abort
+    // (branch blow-up) reports the totals of the cycles before it.
+    for (Time cycle = 0; cycle < max_cycles; ++cycle) {
+      const std::size_t rows = frontier_.size() / width_;
+      if (rows == 0) break;
+      result.explored_states += rows;
+      if (result.explored_states > options_.max_states) {
+        result.fallback = ExactFallback::BudgetExceeded;
         break;
       }
+      const Time cycle_start = cycle * cycle_len_;
+      transitions_ = 0;
+      pending_ = 0;
+      clear_successors();
+      bool aborted = false;
+      for (std::size_t r = 0; r < rows && !aborted; ++r) {
+        aborted = !expand(frontier_.data() + r * width_, cycle_start);
+      }
+      if (aborted) {
+        result.fallback = ExactFallback::BudgetExceeded;
+        break;
+      }
+      result.transitions += transitions_;
+      result.merged_states += pending_ - merge();
     }
   }
-  std::size_t write = 0;
-  std::uint64_t dropped = 0;
-  for (std::size_t a = 0; a < n; ++a) {
-    if (dead[a] != 0) {
-      ++dropped;
-      continue;
+
+  /// Worst explored finish per DYN message, or infinity where some state
+  /// left in the frontier (hit the cycle horizon) still has jobs pending;
+  /// paths that completed everything were dropped from the frontier and
+  /// are covered by construction.
+  void publish(const Application& app, ScheduleSpaceResult& result) const {
+    result.worst_completion.assign(app.message_count(), kTimeInfinity);
+    for (std::size_t i = 0; i < width_; ++i) {
+      bool covered = true;
+      for (std::size_t at = i; at < frontier_.size(); at += width_) {
+        covered = covered && frontier_[at] >= dyn_[i].jobs;
+      }
+      if (covered) result.worst_completion[dyn_[i].message] = worst_[i];
     }
-    if (write != a) {
-      std::memmove(rows.data() + write * width, rows.data() + a * width,
-                   width * sizeof(std::uint32_t));
-    }
-    ++write;
   }
-  rows.resize(write * width);
-  return dropped;
-}
+
+ private:
+  /// Replays one bus cycle from `state`, staging every successor key.
+  /// Returns false when the maybe-ready set exceeds the branch cap.
+  bool expand(const std::uint32_t* state, Time cycle_start) {
+    // Classify pending head jobs.  Must: certainly in the CHI by the
+    // earliest slot its FrameID can get (all earlier slots advancing by one
+    // minislot); maybe: released before the cycle ends, so the adversary
+    // chooses whether it arrived in time.
+    const Time seg_start = cycle_start + st_len_;
+    std::size_t maybe = 0;
+    for (std::size_t i = 0; i < width_; ++i) {
+      ready_[i] = Ready::No;
+      if (state[i] >= dyn_[i].jobs) continue;
+      const Time release = static_cast<Time>(state[i]) * dyn_[i].period;
+      const Time earliest_slot = seg_start + static_cast<Time>(dyn_[i].fid - 1) * gd_;
+      if (sat_add(release, dyn_[i].jitter) <= earliest_slot) {
+        ready_[i] = Ready::Must;
+      } else if (release < cycle_start + cycle_len_) {
+        ready_[i] = Ready::Maybe;
+        ++maybe;
+      }
+    }
+    if (maybe > max_branch_) return false;
+
+    // Replay the DynSlot chain (sim/engine.cpp): one slot per FrameID, stop
+    // when the FrameIDs or the minislots run out.  A maybe-ready head only
+    // matters at its own FrameID within pLatestTx, so the walk branches on
+    // its readiness there; a leaf that never decided u of the maybe heads
+    // stands for the 2^u readiness subsets that all walk the same way.
+    pool_.assign(state, state + width_);
+    stack_.clear();
+    stack_.push_back(Walk{1, 1, seg_start, 0, 0});
+    while (!stack_.empty()) {
+      Walk w = stack_.back();
+      stack_.pop_back();
+      // Follow one branch slot by slot; other branches go on the stack.
+      for (;;) {
+        if (w.fid > max_fid_ || w.counter > minislot_count_) {
+          leaf(w, maybe);
+          break;
+        }
+        forks_.clear();
+        const bool idle =
+            w.counter > p_latest_[static_cast<std::size_t>(w.fid)] || arbitrate(w);
+        // Each stacked fork gets its own copy of the branch's key; without
+        // an idle branch, the last fork carries on with the key in place.
+        const std::size_t stacked = idle ? forks_.size() : forks_.size() - 1;
+        for (std::size_t f = 0; f < stacked; ++f) {
+          const std::size_t at = pool_.size();
+          pool_.resize(at + width_);
+          std::copy_n(pool_.data() + w.sent_at, width_, pool_.data() + at);
+          stack_.push_back(transmit(w, at, forks_[f]));
+        }
+        if (idle) {
+          w.fid += 1;
+          w.counter += 1;
+          w.slot_time += gd_;
+        } else {
+          w = transmit(w, w.sent_at, forks_.back());
+        }
+      }
+    }
+    return true;
+  }
+
+  /// The branch of `w` that transmits `fork.message` at this slot, with its
+  /// key at pool offset `at` (a copy of w's key, or w's key itself).
+  Walk transmit(const Walk& w, std::size_t at, const Fork& fork) {
+    const std::size_t i = fork.message;
+    const Time release = static_cast<Time>(pool_[at + i]) * dyn_[i].period;
+    worst_[i] = std::max(worst_[i], w.slot_time + dyn_[i].occupancy - release);
+    pool_[at + i] += 1;
+    return Walk{w.fid + 1, w.counter + dyn_[i].minislots,
+                w.slot_time + static_cast<Time>(dyn_[i].minislots) * gd_, at, fork.decided};
+  }
+
+  /// Arbitration at slot `w.fid`: the highest-priority ready heads tie and
+  /// each forks (the engine breaks the tie by CHI arrival order, which the
+  /// ready intervals cannot resolve).  Priority levels are visited in
+  /// order, and every subset of a level's maybe-ready heads is a branch
+  /// appended to `forks_`.  The all-absent branch of a level without
+  /// must-ready heads falls through to the next level.  Returns true when
+  /// the all-absent branch of the last level is reached, i.e. some branch
+  /// idles; `w.decided` then counts the heads it decided absent.
+  bool arbitrate(Walk& w) {
+    const std::size_t last = fid_begin_[static_cast<std::size_t>(w.fid) + 1];
+    for (std::size_t begin = fid_begin_[static_cast<std::size_t>(w.fid)]; begin < last;) {
+      const int priority = dyn_[candidates_[begin]].priority;
+      std::size_t end = begin;
+      std::size_t level_maybe = 0;
+      bool any_must = false;
+      for (; end < last && dyn_[candidates_[end]].priority == priority; ++end) {
+        any_must = any_must || ready_[candidates_[end]] == Ready::Must;
+        level_maybe += ready_[candidates_[end]] == Ready::Maybe ? 1 : 0;
+      }
+      const int decided = w.decided + static_cast<int>(level_maybe);
+      for (std::uint64_t mask = any_must ? 0 : 1; mask < (std::uint64_t{1} << level_maybe);
+           ++mask) {
+        std::size_t bit = 0;
+        for (std::size_t k = begin; k < end; ++k) {
+          const std::size_t i = candidates_[k];
+          if (ready_[i] == Ready::Must ||
+              (ready_[i] == Ready::Maybe && ((mask >> bit++) & 1) != 0)) {
+            forks_.push_back(Fork{i, decided});
+          }
+        }
+      }
+      w.decided = decided;
+      if (any_must) return false;
+      begin = end;
+    }
+    return true;
+  }
+
+  /// A finished cycle walk: weighted by its undecided readiness subsets,
+  /// its key is staged once unless every job is done.
+  void leaf(const Walk& w, std::size_t maybe) {
+    const std::uint64_t weight = std::uint64_t{1} << (maybe - static_cast<std::size_t>(w.decided));
+    transitions_ += weight;
+    const std::uint32_t* key = pool_.data() + w.sent_at;
+    bool done = true;
+    for (std::size_t i = 0; i < width_; ++i) done = done && key[i] >= dyn_[i].jobs;
+    if (done) return;
+    pending_ += weight;
+    stage(key);
+  }
+
+  /// Appends `key` to the successor rows unless it is already there:
+  /// open-addressing dedup over the key hash, kept at most half full.
+  void stage(const std::uint32_t* key) {
+    const std::uint64_t hash = key_hash(key, width_);
+    std::size_t mask = slots_.size() - 1;
+    std::size_t slot = hash & mask;
+    for (; slots_[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+      if (std::equal(key, key + width_, successors_.data() + slots_[slot] * width_)) return;
+    }
+    slots_[slot] = static_cast<std::uint32_t>(hashes_.size());
+    hashes_.push_back(hash);
+    successors_.insert(successors_.end(), key, key + width_);
+    if (2 * hashes_.size() <= slots_.size()) return;
+    slots_.assign(2 * slots_.size(), kEmptySlot);
+    mask = slots_.size() - 1;
+    for (std::uint32_t r = 0; r < hashes_.size(); ++r) {
+      std::size_t at = hashes_[r] & mask;
+      while (slots_[at] != kEmptySlot) at = (at + 1) & mask;
+      slots_[at] = r;
+    }
+  }
+
+  /// Empties the successor rows and their dedup table.  Clearing the probe
+  /// run from each row's home slot up to the next free slot reaches every
+  /// slot in use.
+  void clear_successors() {
+    const std::size_t mask = slots_.size() - 1;
+    for (const std::uint64_t hash : hashes_) {
+      for (std::size_t at = hash & mask; slots_[at] != kEmptySlot; at = (at + 1) & mask) {
+        slots_[at] = kEmptySlot;
+      }
+    }
+    hashes_.clear();
+    successors_.clear();
+  }
+
+  /// Drops dominated successors and makes the survivors the next
+  /// frontier.  Returns the number of survivors.
+  std::uint64_t merge() {
+    const std::size_t n = hashes_.size();
+    const std::size_t limit = options_.dominance_sweep_limit;
+    if (!options_.prune_dominated || n <= limit) {
+      // Common case first: a row equal to the pointwise minimum is the one
+      // survivor of the sweep.
+      if (const std::uint32_t* floor =
+              options_.prune_dominated ? floor_row(successors_.data(), n) : nullptr) {
+        frontier_.assign(floor, floor + width_);
+        return 1;
+      }
+      frontier_.swap(successors_);
+      return options_.prune_dominated ? sweep(0, n) : n;
+    }
+
+    // Above the sweep limit, each hash group within the limit is swept on
+    // its own, then the survivors as a whole if they fit.  (Cover chains
+    // end at minimal rows, so "covered by anyone" equals "covered by a
+    // survivor" and both orders give the whole sweep's result.)  Rows are
+    // bucketed by group first, in staging order within a group.
+    std::array<std::size_t, kGroups + 1> group_begin{};
+    for (const std::uint64_t hash : hashes_) ++group_begin[(hash >> (64 - kGroupBits)) + 1];
+    std::partial_sum(group_begin.begin(), group_begin.end(), group_begin.begin());
+    std::array<std::size_t, kGroups> next_row{};
+    std::copy_n(group_begin.begin(), kGroups, next_row.begin());
+    frontier_.resize(successors_.size());
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t at = next_row[hashes_[r] >> (64 - kGroupBits)]++;
+      std::copy_n(successors_.data() + r * width_, width_, frontier_.data() + at * width_);
+    }
+    std::size_t kept = 0;  // the groups swept so far end here
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      const std::size_t rows = group_begin[g + 1] - group_begin[g];
+      kept = rows <= limit ? sweep(kept, kept + rows) : kept + rows;
+    }
+    return kept <= limit ? sweep(0, kept) : kept;
+  }
+
+  /// The first of `n` rows equal to the pointwise minimum of all of them,
+  /// or nullptr.  Such a row covers every other distinct row and is
+  /// covered by none, so it is all that survives a sweep.
+  const std::uint32_t* floor_row(const std::uint32_t* rows, std::size_t n) {
+    if (n == 0) return nullptr;
+    floor_.assign(rows, rows + width_);
+    for (std::size_t a = 1; a < n; ++a) {
+      const std::uint32_t* key = rows + a * width_;
+      for (std::size_t i = 0; i < width_; ++i) floor_[i] = std::min(floor_[i], key[i]);
+    }
+    for (std::size_t a = 0; a < n; ++a) {
+      if (std::equal(floor_.begin(), floor_.end(), rows + a * width_)) return rows + a * width_;
+    }
+    return nullptr;
+  }
+
+  /// Drops every frontier row in [begin, end) covered by another row of
+  /// that range (rows are distinct); survivors keep their relative order.
+  /// Returns the index one past the last survivor.
+  std::size_t sweep(std::size_t begin, std::size_t end) {
+    if (end - begin < 2) return end;
+    std::uint32_t* rows = frontier_.data();
+    if (const std::uint32_t* floor = floor_row(rows + begin * width_, end - begin)) {
+      std::memmove(rows + begin * width_, floor, width_ * sizeof(std::uint32_t));
+      frontier_.erase(frontier_.begin() + static_cast<std::ptrdiff_t>((begin + 1) * width_),
+                      frontier_.begin() + static_cast<std::ptrdiff_t>(end * width_));
+      return begin + 1;
+    }
+    // Only a row with a lexicographically smaller key can cover another,
+    // and every covered row is covered by a survivor (cover chains end at
+    // rows nobody covers), so rows are tested in key order against the
+    // survivors found so far.
+    order_.resize(end - begin);
+    std::iota(order_.begin(), order_.end(), static_cast<std::uint32_t>(begin));
+    const std::size_t width = width_;
+    std::sort(order_.begin(), order_.end(), [rows, width](std::uint32_t a, std::uint32_t b) {
+      return std::lexicographical_compare(rows + a * width, rows + (a + 1) * width,
+                                          rows + b * width, rows + (b + 1) * width);
+    });
+    dead_.assign(end - begin, 1);
+    survivors_.clear();
+    for (const std::uint32_t a : order_) {
+      const std::uint32_t* ka = rows + a * width;
+      const bool covered = std::any_of(survivors_.begin(), survivors_.end(), [&](std::uint32_t b) {
+        return covers(rows + b * width, ka, width);
+      });
+      if (covered) continue;
+      survivors_.push_back(a);
+      dead_[a - begin] = 0;
+    }
+    std::size_t write = begin;
+    for (std::size_t a = begin; a < end; ++a) {
+      if (dead_[a - begin] != 0) continue;
+      if (write != a) {
+        std::memmove(rows + write * width, rows + a * width, width * sizeof(std::uint32_t));
+      }
+      ++write;
+    }
+    frontier_.erase(frontier_.begin() + static_cast<std::ptrdiff_t>(write * width),
+                    frontier_.begin() + static_cast<std::ptrdiff_t>(end * width));
+    return write;
+  }
+
+  const std::vector<DynMsg> dyn_;
+  const std::size_t width_;
+  const int max_fid_;
+  /// DYN message indices by (FrameID, priority, MessageId): FrameID f's
+  /// candidates, in arbitration order, are [fid_begin_[f], fid_begin_[f+1]).
+  std::vector<std::size_t> candidates_;
+  std::vector<std::size_t> fid_begin_;
+  std::vector<std::int64_t> p_latest_;
+  const Time cycle_len_;
+  const Time st_len_;
+  const Time gd_;
+  const std::int64_t minislot_count_;
+  const std::size_t max_branch_;
+  const ExactOptions& options_;
+
+  std::vector<std::uint32_t> frontier_;    ///< states of the cycle being expanded
+  std::vector<std::uint32_t> successors_;  ///< distinct keys staged this cycle
+  std::vector<std::uint64_t> hashes_;      ///< key hash per successor row
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmptySlot);
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> survivors_;
+  std::vector<char> dead_;
+  std::vector<std::uint32_t> floor_;
+  std::vector<Ready> ready_;
+  std::vector<Fork> forks_;
+  std::vector<Walk> stack_;
+  std::vector<std::uint32_t> pool_;  ///< walk keys of the state being expanded
+  std::vector<Time> worst_;          ///< per DynMsg worst finish - release
+  std::uint64_t transitions_ = 0;    ///< weighted leaves this cycle
+  std::uint64_t pending_ = 0;        ///< weighted leaves with work left
+};
 
 }  // namespace
 
@@ -232,7 +477,13 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
     result.fallback = ExactFallback::NotConverged;
     return result;
   }
-  const Time window = hp_result.value() * std::max(1, options.hyperperiods);
+  // A release window or job count past the representable range is an
+  // option error, not something to wrap or truncate.
+  const auto window = checked_mul(hp_result.value(), std::max(1, options.hyperperiods));
+  if (!window.ok()) {
+    result.fallback = ExactFallback::InvalidOptions;
+    return result;
+  }
 
   std::vector<DynMsg> dyn;
   for (std::uint32_t m = 0; m < app.message_count(); ++m) {
@@ -250,345 +501,22 @@ ScheduleSpaceResult explore_dyn_schedule_space(const BusLayout& layout,
       result.fallback = ExactFallback::UnboundedJitter;
       return result;
     }
-    d.jobs = static_cast<std::uint32_t>(window / d.period);
+    const Time jobs = window.value() / d.period;
+    if (jobs > std::numeric_limits<std::uint32_t>::max()) {
+      result.fallback = ExactFallback::InvalidOptions;
+      return result;
+    }
+    d.jobs = static_cast<std::uint32_t>(jobs);
     dyn.push_back(d);
   }
   if (dyn.empty()) {
     result.fallback = ExactFallback::NoDynMessages;
     return result;
   }
-  const std::size_t width = dyn.size();
 
-  // Per-FrameID candidate groups in deterministic arbitration order; the
-  // engine's CHI multiset orders by (priority, ready, job), so priority
-  // decides between distinct ready messages and everything tied forks.
-  const int max_fid = layout.max_frame_id();
-  std::vector<std::vector<std::size_t>> by_fid(static_cast<std::size_t>(max_fid) + 1);
-  for (std::size_t i = 0; i < width; ++i) by_fid[dyn[i].fid].push_back(i);
-  for (auto& group : by_fid) {
-    std::sort(group.begin(), group.end(), [&](std::size_t a, std::size_t b) {
-      return std::make_pair(dyn[a].priority, dyn[a].message) <
-             std::make_pair(dyn[b].priority, dyn[b].message);
-    });
-  }
-  std::vector<std::int64_t> p_latest(static_cast<std::size_t>(max_fid) + 1, -1);
-  for (int fid = 1; fid <= max_fid; ++fid) {
-    NodeId owner{};
-    if (layout.frame_id_owner(fid, &owner)) p_latest[fid] = layout.p_latest_tx(owner);
-  }
-
-  const Time cycle_len = layout.cycle_len();
-  const Time st_len = layout.st_segment_len();
-  const Time gd = layout.params().gd_minislot;
-  const std::int64_t minislot_count = layout.config().minislot_count;
-  const Time max_cycles = horizon / cycle_len + 1;
-  // 2^k readiness subsets are enumerated through a 64-bit mask; anything
-  // near that is hopeless anyway, so the branch cap is clamped well below.
-  const auto max_branch =
-      static_cast<std::size_t>(std::clamp(options.max_branch_messages, 1, 20));
-
-  const int requested = options.jobs <= 0
-                            ? static_cast<int>(std::thread::hardware_concurrency())
-                            : options.jobs;
-  const int workers = std::clamp(requested, 1, static_cast<int>(kShards));
-  WorkerCrew crew(workers);
-
-  std::array<Shard, kShards> frontier;
-  std::array<Shard, kShards> next;
-  {
-    const std::vector<std::uint32_t> origin(width, 0);
-    frontier[shard_of(hash_key(origin.data(), width))] = origin;
-  }
-
-  std::vector<WorkerScratch> scratch(static_cast<std::size_t>(workers));
-  for (WorkerScratch& ws : scratch) {
-    ws.worst.assign(width, 0);
-    ws.must.assign(width, 0);
-    ws.ready.assign(width, 0);
-  }
-
-  // Committed counters hold completed cycles only, so a mid-cycle abort
-  // (branch blow-up) reports the same totals for every worker count.
-  std::uint64_t transitions = 0;
-  std::uint64_t merged = 0;
-  Time cycle_start_ = 0;      ///< start of the cycle being expanded
-  Time cycle_seg_start_ = 0;  ///< its DYN segment start
-  std::atomic<bool> abort{false};
-  std::atomic<std::size_t> cursor{0};
-  std::array<std::uint64_t, kShards> shard_unique{};
-  std::array<std::uint64_t, kShards> shard_dominated{};
-
-  // Expansion phase: workers steal source shards off the shared cursor,
-  // replay the per-state cycle walks, and stage successors per target shard.
-  const auto expand = [&](int worker) {
-    WorkerScratch& ws = scratch[static_cast<std::size_t>(worker)];
-    ws.transitions = 0;
-    ws.pending = 0;
-    for (auto& bucket : ws.out) bucket.clear();
-    for (std::size_t s = cursor.fetch_add(1, std::memory_order_relaxed); s < kShards;
-         s = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      const Shard& rows = frontier[s];
-      const std::size_t n_rows = rows.size() / width;
-      for (std::size_t r = 0; r < n_rows; ++r) {
-        if (abort.load(std::memory_order_relaxed)) return;
-        const std::uint32_t* state = rows.data() + r * width;
-
-        // Classify pending head jobs.  must: certainly in the CHI by the
-        // earliest slot its FrameID can get (all earlier slots advancing by
-        // one minislot); maybe: released before the cycle ends, so the
-        // adversary chooses whether it arrived in time.
-        ws.maybe.clear();
-        for (std::size_t i = 0; i < width; ++i) {
-          ws.must[i] = 0;
-          if (state[i] >= dyn[i].jobs) continue;
-          const Time release = static_cast<Time>(state[i]) * dyn[i].period;
-          const Time earliest_slot =
-              cycle_seg_start_ + static_cast<Time>(dyn[i].fid - 1) * gd;
-          if (release + dyn[i].jitter <= earliest_slot) {
-            ws.must[i] = 1;
-          } else if (release < cycle_start_ + cycle_len) {
-            ws.maybe.push_back(i);
-          }
-        }
-        if (ws.maybe.size() > max_branch) {
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-
-        for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << ws.maybe.size());
-             ++mask) {
-          std::copy(ws.must.begin(), ws.must.end(), ws.ready.begin());
-          for (std::size_t b = 0; b < ws.maybe.size(); ++b) {
-            if ((mask >> b) & 1) ws.ready[ws.maybe[b]] = 1;
-          }
-
-          // Replay the DynSlot chain (sim/engine.cpp): one slot per FrameID,
-          // stop when the FrameIDs or the minislots run out.
-          ws.stack.clear();
-          ws.pool.assign(state, state + width);
-          ws.stack.push_back(Walk{1, 1, cycle_seg_start_, 0});
-          while (!ws.stack.empty()) {
-            Walk w = ws.stack.back();
-            ws.stack.pop_back();
-            if (w.fid > max_fid || w.counter > minislot_count) {
-              ++ws.transitions;
-              const std::uint32_t* sent = ws.pool.data() + w.sent_at;
-              if (!row_all_done(sent, dyn)) {
-                ++ws.pending;
-                auto& bucket = ws.out[shard_of(hash_key(sent, width))];
-                bucket.insert(bucket.end(), sent, sent + width);
-              }
-              continue;
-            }
-            ws.tied.clear();
-            if (w.counter <= p_latest[static_cast<std::size_t>(w.fid)]) {
-              int best_priority = 0;
-              for (const std::size_t i : by_fid[static_cast<std::size_t>(w.fid)]) {
-                if (ws.ready[i] == 0 || ws.pool[w.sent_at + i] >= dyn[i].jobs) continue;
-                if (!ws.tied.empty() && dyn[i].priority != best_priority) break;
-                best_priority = dyn[i].priority;
-                ws.tied.push_back(i);
-              }
-            }
-            if (ws.tied.empty()) {
-              w.slot_time += gd;
-              w.counter += 1;
-              w.fid += 1;
-              ws.stack.push_back(w);
-              continue;
-            }
-            // Fork over every tied highest-priority candidate: the engine
-            // breaks the tie by CHI arrival order, which the ready intervals
-            // cannot resolve.
-            for (const std::size_t i : ws.tied) {
-              const std::size_t fork_at = ws.pool.size();
-              ws.pool.resize(fork_at + width);
-              std::copy_n(ws.pool.data() + w.sent_at, width, ws.pool.data() + fork_at);
-              const Time finish = w.slot_time + dyn[i].occupancy;
-              const Time release =
-                  static_cast<Time>(ws.pool[fork_at + i]) * dyn[i].period;
-              ws.worst[i] = std::max(ws.worst[i], finish - release);
-              ws.pool[fork_at + i] += 1;
-              Walk n = w;
-              n.sent_at = fork_at;
-              n.slot_time += static_cast<Time>(dyn[i].minislots) * gd;
-              n.counter += dyn[i].minislots;
-              n.fid += 1;
-              ws.stack.push_back(n);
-            }
-          }
-        }
-      }
-    }
-  };
-
-  // Merge phase: workers steal target shards; each shard dedups through an
-  // open-addressing table, sorts the survivors by key, and dominance-prunes
-  // shard-locally.  Shard contents are unions over worker buffers, so
-  // nothing here depends on which worker produced a state.
-  const auto merge = [&](int worker) {
-    (void)worker;
-    std::vector<std::uint32_t> slots;
-    std::vector<std::size_t> order;
-    for (std::size_t s = cursor.fetch_add(1, std::memory_order_relaxed); s < kShards;
-         s = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      Shard& out = next[s];
-      out.clear();
-      shard_unique[s] = 0;
-      shard_dominated[s] = 0;
-      std::size_t candidates = 0;
-      for (const WorkerScratch& ws : scratch) candidates += ws.out[s].size() / width;
-      if (candidates == 0) continue;
-
-      std::size_t table_size = 1;
-      while (table_size < candidates * 2) table_size <<= 1;
-      slots.assign(table_size, std::numeric_limits<std::uint32_t>::max());
-      Shard unique;
-      unique.reserve(candidates * width);
-      std::uint32_t unique_count = 0;
-      for (const WorkerScratch& ws : scratch) {
-        const Shard& bucket = ws.out[s];
-        for (std::size_t r = 0; r * width < bucket.size(); ++r) {
-          const std::uint32_t* row = bucket.data() + r * width;
-          std::size_t probe = hash_key(row, width) & (table_size - 1);
-          for (;;) {
-            const std::uint32_t at = slots[probe];
-            if (at == std::numeric_limits<std::uint32_t>::max()) {
-              slots[probe] = unique_count;
-              unique.insert(unique.end(), row, row + width);
-              ++unique_count;
-              break;
-            }
-            if (std::equal(row, row + width, unique.data() + at * width)) break;
-            probe = (probe + 1) & (table_size - 1);
-          }
-        }
-      }
-      shard_unique[s] = unique_count;
-
-      // Sort by key: the deterministic (key, order) tie-break the next
-      // cycle's expansion — and the final coverage scan — iterate in.
-      order.resize(unique_count);
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return row_less(unique.data() + a * width, unique.data() + b * width, width);
-      });
-      out.resize(static_cast<std::size_t>(unique_count) * width);
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        std::copy_n(unique.data() + order[i] * width, width, out.data() + i * width);
-      }
-
-      if (options.prune_dominated &&
-          unique_count <= options.dominance_sweep_limit) {
-        shard_dominated[s] = dominance_sweep(out, width);
-      }
-    }
-  };
-
-  for (Time cycle = 0; cycle < max_cycles; ++cycle) {
-    std::uint64_t frontier_states = 0;
-    for (const Shard& s : frontier) frontier_states += s.size() / width;
-    if (frontier_states == 0) break;
-    result.explored_states += frontier_states;
-    if (result.explored_states > options.max_states) {
-      result.fallback = ExactFallback::BudgetExceeded;
-      result.transitions = transitions;
-      result.merged_states = merged;
-      return result;
-    }
-    cycle_start_ = cycle * cycle_len;
-    cycle_seg_start_ = cycle_start_ + st_len;
-
-    cursor.store(0, std::memory_order_relaxed);
-    crew.run(expand);
-    if (abort.load(std::memory_order_relaxed)) {
-      result.fallback = ExactFallback::BudgetExceeded;
-      result.transitions = transitions;
-      result.merged_states = merged;
-      return result;
-    }
-
-    cursor.store(0, std::memory_order_relaxed);
-    crew.run(merge);
-
-    // Deterministic reduction: sums and maxes over fixed index ranges.
-    std::uint64_t pending = 0;
-    std::uint64_t unique_total = 0;
-    std::uint64_t dominated = 0;
-    for (const WorkerScratch& ws : scratch) {
-      transitions += ws.transitions;
-      pending += ws.pending;
-    }
-    for (std::size_t s = 0; s < kShards; ++s) {
-      unique_total += shard_unique[s];
-      dominated += shard_dominated[s];
-    }
-    merged += pending - unique_total + dominated;
-
-    // Small frontiers get the serial engine's cross-shard sweep: dominated
-    // pairs usually hash to different shards, and when the frontier is small
-    // the O(n^2) pass is cheap and prunes exactly where it matters.
-    std::uint64_t survivors = 0;
-    for (const Shard& s : next) survivors += s.size() / width;
-    if (options.prune_dominated && survivors > 1 &&
-        survivors <= options.dominance_sweep_limit) {
-      Shard all;
-      all.reserve(static_cast<std::size_t>(survivors) * width);
-      for (const Shard& s : next) all.insert(all.end(), s.begin(), s.end());
-      std::vector<char> dead(static_cast<std::size_t>(survivors), 0);
-      for (std::size_t a = 0; a < survivors; ++a) {
-        const std::uint32_t* ra = all.data() + a * width;
-        for (std::size_t b = 0; b < survivors; ++b) {
-          if (a == b) continue;
-          if (row_covers(all.data() + b * width, ra, width)) {
-            dead[a] = 1;
-            break;
-          }
-        }
-      }
-      std::size_t at = 0;
-      for (Shard& s : next) {
-        std::size_t write = 0;
-        const std::size_t n_rows = s.size() / width;
-        for (std::size_t r = 0; r < n_rows; ++r, ++at) {
-          if (dead[at] != 0) {
-            ++merged;
-            continue;
-          }
-          if (write != r) {
-            std::memmove(s.data() + write * width, s.data() + r * width,
-                         width * sizeof(std::uint32_t));
-          }
-          ++write;
-        }
-        s.resize(write * width);
-      }
-    }
-
-    for (std::size_t s = 0; s < kShards; ++s) frontier[s].swap(next[s]);
-  }
-  result.transitions = transitions;
-  result.merged_states = merged;
-
-  // Publish caps.  A message is covered (refinable) only if every surviving
-  // state — states that hit the cycle horizon with work left — has all of
-  // its jobs transmitted; paths that completed everything were dropped from
-  // the frontier and are covered by construction.
-  std::vector<Time> worst(width, 0);
-  for (const WorkerScratch& ws : scratch) {
-    for (std::size_t i = 0; i < width; ++i) worst[i] = std::max(worst[i], ws.worst[i]);
-  }
-  result.worst_completion.assign(app.message_count(), kTimeInfinity);
-  for (std::size_t i = 0; i < width; ++i) {
-    bool covered = true;
-    for (const Shard& s : frontier) {
-      const std::size_t n_rows = s.size() / width;
-      for (std::size_t r = 0; r < n_rows; ++r) {
-        covered = covered && s[r * width + i] >= dyn[i].jobs;
-      }
-    }
-    if (covered) result.worst_completion[dyn[i].message] = worst[i];
-  }
+  Explorer explorer(layout, std::move(dyn), options);
+  explorer.run(horizon / layout.cycle_len() + 1, result);
+  if (result.fallback == ExactFallback::None) explorer.publish(app, result);
   return result;
 }
 

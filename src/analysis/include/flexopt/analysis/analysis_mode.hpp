@@ -40,9 +40,10 @@ struct ExactOptions {
   /// backend gives up and falls back to the holistic bound
   /// (ExactFallback::BudgetExceeded — recorded, never silent).
   std::uint64_t max_states = 1u << 16;
-  /// Upper bound on the per-cycle "maybe ready" set: each maybe message
-  /// doubles the branching factor of a cycle step, so a set larger than
-  /// this triggers the budget fallback instead of 2^k successor blow-up.
+  /// Upper bound on the per-state "maybe ready" set (clamped to 20): each
+  /// maybe message can double the walks of a cycle step, so a set larger
+  /// than this triggers the budget fallback instead of 2^k successor
+  /// blow-up.
   int max_branch_messages = 12;
   /// Pairwise dominance merging: a frontier state whose per-message
   /// transmitted counts are pointwise >= another's is dropped — the less
@@ -54,14 +55,13 @@ struct ExactOptions {
   std::size_t dominance_sweep_limit = 256;
   /// Job-release window of the exploration in hyper-periods.  All jobs
   /// released in [0, H * hyperperiods) are explored to completion (plus
-  /// drain cycles up to the analysis horizon).
+  /// drain cycles up to the analysis horizon).  A window past the Time
+  /// range, or more than UINT32_MAX jobs of one message in it, records
+  /// ExactFallback::InvalidOptions.
   int hyperperiods = 1;
-  /// Worker threads for the sharded frontier exploration.  1 explores
-  /// inline on the calling thread; 0 uses the hardware concurrency.  The
-  /// exploration result is bit-identical for every worker count: states are
-  /// routed to a fixed number of shards by key hash (independent of jobs),
-  /// each shard merges and prunes locally in sorted key order, and all
-  /// counters are order-independent sums.
+  /// Accepted and ignored: the exploration is serial on the calling
+  /// thread.  Parallelism lives at the campaign-scenario and portfolio
+  /// level.  Kept so that spec files and callers that set it still work.
   int jobs = 1;
   /// Reuse explored per-cluster schedule spaces across neighbour moves:
   /// when an AnalysisComponentCache is available, exploration results are
@@ -94,7 +94,7 @@ enum class ExactFallback {
   NotConverged,        ///< holistic prerequisite diverged; no jitter bounds
   UnboundedJitter,     ///< some DYN release jitter is infinite
   BudgetExceeded,      ///< max_states / max_branch_messages hit mid-exploration
-  InvalidOptions,      ///< zero max_states / max_branch_messages budget
+  InvalidOptions,      ///< zero budget, or a release window / job count out of range
 };
 
 [[nodiscard]] const char* to_string(ExactFallback fallback);

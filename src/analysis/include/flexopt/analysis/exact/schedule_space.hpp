@@ -25,24 +25,35 @@
 /// every tied candidate.  Supersets on every axis means: max explored
 /// finish >= every finish the simulator can observe.
 ///
+/// Lazy readiness branching: a maybe-ready head's readiness matters only
+/// when the walk reaches its own FrameID with the slot counter within the
+/// owner's pLatestTx, so the walk branches there, one priority level at a
+/// time (every subset of the level's maybe-ready heads; the all-absent
+/// subset falls through to the next level unless a must-ready head sits
+/// on the level).  A finished walk that never decided u of the state's
+/// maybe heads stands for the 2^u readiness subsets that all walk the same
+/// way.
+///
 /// Dominance: of two states in the same cycle, the one with pointwise >=
 /// transmitted counts has pointwise less backlog, so every future finish
 /// reachable from it is also reachable (no later) from the less progressed
 /// state; the more progressed state is dropped.
 ///
-/// Parallel exploration (ExactOptions::jobs): each cycle fans out over a
-/// sharded state table whose shard count is FIXED (independent of the
-/// worker count) — states are routed to shards by a hash of the
-/// transmitted-count key.  Workers steal source shards from a shared atomic
-/// cursor, write successors into per-(worker, target-shard) buffers
-/// (lock-free handoff — no shared successor structure), and after a barrier
-/// steal target shards to merge: open-addressing dedup, lexicographic key
-/// sort, then a shard-local pointwise-<= dominance sweep over the SoA rows.
-/// Small frontiers get one extra cross-shard sweep (the serial engine's
-/// dominance_sweep_limit regime).  Because shard membership, per-shard
-/// sorted order, the dominance relation and every counter are functions of
-/// the key set alone — never of which worker produced a state — the result
-/// is bit-identical for any worker count.
+/// The engine is serial, with one flat frontier in reused buffers.  Each
+/// cycle expands every state, staging each distinct successor key once
+/// (open-addressing dedup over its FNV-1a hash), and sweeps the distinct
+/// successors for dominance: all of them together when they are within
+/// ExactOptions::dominance_sweep_limit; otherwise each hash group (the top
+/// 5 bits of the key hash) within the limit on its own, then the
+/// survivors together if they fit.  The hash group is the dominance scope
+/// above the limit and nothing else.  A sweep keeps only the rows no other
+/// row covers; the common case, one row equal to the pointwise minimum,
+/// is found in one pass.
+///
+/// Counters: `explored_states` sums the frontier sizes; `transitions` and
+/// `merged_states` count every readiness subset, so a finished walk adds
+/// its 2^u multiplicity to both (a state reached by several subsets merges
+/// all but once).
 
 #include <cstdint>
 #include <span>
@@ -65,14 +76,18 @@ struct ScheduleSpaceResult {
   /// Empty when `fallback` != None.
   std::vector<Time> worst_completion;
   std::uint64_t explored_states = 0;  ///< frontier sizes summed over cycles
-  std::uint64_t merged_states = 0;    ///< identical-key + dominance merges
-  std::uint64_t transitions = 0;      ///< successor states generated
+  /// Successors (counted per readiness subset) merged by identical keys
+  /// or dropped by dominance.
+  std::uint64_t merged_states = 0;
+  std::uint64_t transitions = 0;  ///< finished cycle walks, per readiness subset
 };
 
 /// Explores all DYN jobs released in [0, hyperperiod * options.hyperperiods)
 /// to completion, walking bus cycles up to `horizon` (use analysis_horizon).
 /// `message_jitter` must hold finite converged holistic release jitters for
-/// every DYN message (callers gate on convergence first).
+/// every DYN message (callers gate on convergence first).  A release window
+/// or a per-message job count past the representable range records
+/// ExactFallback::InvalidOptions.
 [[nodiscard]] ScheduleSpaceResult explore_dyn_schedule_space(
     const BusLayout& layout, std::span<const Time> message_jitter, Time horizon,
     const ExactOptions& options);

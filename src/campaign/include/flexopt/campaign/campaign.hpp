@@ -98,10 +98,9 @@ struct CampaignSpec {
   /// simulator (flexopt/netsim) for one hyper-period and record the
   /// observed-vs-bound verdict and pessimism gap per run.
   bool sim_check = false;
-  /// Worker threads per exact schedule-space exploration when an `exact`
-  /// analysis-mode cell runs (ExactOptions::jobs; 0 = hardware).  Results
-  /// are bit-identical for any value, so this never perturbs the campaign
-  /// determinism contract.
+  /// Forwarded to ExactOptions::jobs, which is accepted and ignored: the
+  /// exact exploration is serial, and campaigns parallelise over
+  /// scenarios.  Kept so that spec files that set `exact_jobs` still parse.
   int exact_jobs = 1;
 };
 

@@ -292,7 +292,7 @@ Expected<CampaignSpec> parse_campaign(std::istream& in) {
     } else if (keyword == "exact_jobs") {
       auto v = parse_int32(first);
       if (!v.ok()) return line_error(line_no, v.error().message);
-      if (v.value() < 0) return line_error(line_no, "exact_jobs must be >= 0 (0 = auto)");
+      if (v.value() < 0) return line_error(line_no, "exact_jobs must be >= 0");
       spec.exact_jobs = v.value();
     } else if (keyword == "sim_check") {
       if (first == "on" || first == "true" || first == "1") {

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
 #include "flexopt/analysis/exact/exact_analysis.hpp"
+#include "flexopt/analysis/exact/schedule_space.hpp"
 #include "flexopt/analysis/incremental.hpp"
 #include "flexopt/analysis/multicluster.hpp"
 #include "flexopt/core/config_builder.hpp"
@@ -199,9 +201,9 @@ TEST(ExactAnalysis, InvalidOptionsOutranksNoDynMessages) {
   EXPECT_EQ(exact.exact->fallback, ExactFallback::InvalidOptions);
 }
 
-/// Worker count must never leak into results: the full ExactClusterInfo —
+/// ExactOptions::jobs is accepted and ignored: the full ExactClusterInfo —
 /// bounds, counters, transitions — is bit-identical for any jobs value
-/// (0 = hardware included).
+/// (0 included).
 TEST(ExactAnalysis, WorkerCountPreservesResultsBitIdentically) {
   BusParams params;
   params.gd_bit = 100;
@@ -319,6 +321,61 @@ TEST(ExactAnalysis, TtOnlySystemRecordsNoDynMessages) {
   EXPECT_EQ(exact.exact->explored_states, 0u);
   EXPECT_EQ(exact.task_completion, holistic.task_completion);
   EXPECT_EQ(exact.message_completion, holistic.message_completion);
+}
+
+/// A release window or job count past the representable range is an option
+/// error, not something to wrap or truncate: with hyperperiods near INT_MAX,
+/// H * hyperperiods overflowing Time and a DYN job count past UINT32_MAX
+/// both record InvalidOptions and keep the holistic bounds.
+TEST(ExactAnalysis, HugeReleaseWindowRecordsInvalidOptions) {
+  // TinySystem with configurable graph periods.
+  const auto tiny_with_periods = [](Time tt_period, Time et_period, BusConfig& config) {
+    Application app;
+    const NodeId n0 = app.add_node("N0");
+    const NodeId n1 = app.add_node("N1");
+    const GraphId tt = app.add_graph("tt", tt_period, tt_period);
+    const GraphId et = app.add_graph("et", et_period, et_period);
+    const TaskId producer = app.add_task(tt, "producer", n0, timeunits::us(2), TaskPolicy::Scs);
+    const TaskId consumer = app.add_task(tt, "consumer", n1, timeunits::us(2), TaskPolicy::Scs);
+    app.add_message(tt, "st", producer, consumer, 4, MessageClass::Static);
+    const TaskId fps = app.add_task(et, "fps", n1, timeunits::us(3), TaskPolicy::Fps, 1);
+    const TaskId sink = app.add_task(et, "fps_sink", n0, timeunits::us(1), TaskPolicy::Fps, 2);
+    const MessageId dyn = app.add_message(et, "dyn", fps, sink, 2, MessageClass::Dynamic, 0);
+    if (!app.finalize().ok()) throw std::runtime_error("finalize");
+    config.static_slot_count = 2;
+    config.static_slot_len = timeunits::us(5);
+    config.static_slot_owner = {n0, n1};
+    config.minislot_count = 8;
+    config.frame_id.assign(app.message_count(), 0);
+    config.frame_id[index_of(dyn)] = 1;
+    return app;
+  };
+  const BusParams params = didactic_params();
+  AnalysisOptions options = exact_options();
+  options.exact.hyperperiods = std::numeric_limits<int>::max();
+
+  // H = 300 us fits any window, but the DYN message (period 100 us)
+  // releases 3 * (2^31 - 1) jobs, past UINT32_MAX.
+  BusConfig config;
+  const Application jobs_app = tiny_with_periods(timeunits::us(300), timeunits::us(100), config);
+  const BusLayout jobs_layout = make_layout(jobs_app, params, config);
+  const AnalysisResult holistic = analyze(jobs_layout);
+  const AnalysisResult exact = analyze(jobs_layout, options);
+  ASSERT_NE(exact.exact, nullptr);
+  EXPECT_EQ(exact.exact->fallback, ExactFallback::InvalidOptions);
+  EXPECT_EQ(exact.exact->explored_states, 0u);
+  EXPECT_EQ(exact.task_completion, holistic.task_completion);
+  EXPECT_EQ(exact.message_completion, holistic.message_completion);
+
+  // H = 8 s: H * (2^31 - 1) overflows Time.
+  const Application window_app = tiny_with_periods(timeunits::ms(8000), timeunits::ms(8000), config);
+  const BusLayout window_layout = make_layout(window_app, params, config);
+  const std::vector<Time> jitter(window_app.message_count(), 0);
+  const ScheduleSpaceResult space =
+      explore_dyn_schedule_space(window_layout, jitter, timeunits::ms(8000), options.exact);
+  EXPECT_EQ(space.fallback, ExactFallback::InvalidOptions);
+  EXPECT_EQ(space.explored_states, 0u);
+  EXPECT_TRUE(space.worst_completion.empty());
 }
 
 /// Mixed FlexRay+TSN system through the multicluster entry point: the TSN

@@ -164,12 +164,12 @@ TEST(CampaignSpecFormat, ParsesExactJobsScalar) {
   ASSERT_TRUE(spec.ok()) << spec.error().message;
   EXPECT_EQ(spec.value().exact_jobs, 4);
 
-  // 0 = auto (hardware concurrency); results stay jobs-independent either way.
+  // 0 still parses; the exploration ignores the value.
   auto automatic = parse_campaign_text("exact_jobs 0\n");
   ASSERT_TRUE(automatic.ok());
   EXPECT_EQ(automatic.value().exact_jobs, 0);
 
-  // Untouched: sequential exploration.
+  // Unset: the default, 1.
   auto plain = parse_campaign_text("nodes 4\n");
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(plain.value().exact_jobs, 1);

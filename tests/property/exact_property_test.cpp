@@ -10,9 +10,9 @@
 // construction — both inequalities checked empirically here).  Plus:
 // exact evaluation is bit-deterministic across evaluator worker counts
 // (jobs 1 vs 8), so campaign results never depend on the thread schedule;
-// and the parallel exploration engine itself (ExactOptions::jobs 1 vs 8)
-// returns bit-identical ExactClusterInfo records — states, merges,
-// transitions, refined bounds — across the same scenario breadth.
+// and the accepted-but-ignored ExactOptions::jobs knob (1 vs 8) leaves the
+// ExactClusterInfo records — states, merges, transitions, refined bounds —
+// bit-identical across the same scenario breadth.
 
 #include <gtest/gtest.h>
 
@@ -141,10 +141,9 @@ TEST(ExactProperty, ObservedLeExactLeHolisticAcrossScenarios) {
   EXPECT_GT(mixed_analysed, 0);
 }
 
-/// The parallel frontier engine must be a pure wall-time optimisation: for
-/// every scenario the full ExactClusterInfo — engine counters AND refined
-/// bounds — is bit-identical between sequential (jobs=1) and maximally
-/// sharded (jobs=8) exploration, fallbacks included.
+/// ExactOptions::jobs must not reach the results: for every scenario the
+/// full ExactClusterInfo — engine counters AND refined bounds — is
+/// bit-identical between jobs=1 and jobs=8, fallbacks included.
 TEST(ExactProperty, ExplorationBitIdenticalAcrossJobCounts) {
   Rng rng(20260809);
   const BusParams params = lane_params();

@@ -14,10 +14,10 @@
 //       independent of --jobs).  --analysis-mode holistic|exact|simulate
 //       selects the analysis backend: `exact` refines every evaluator bound
 //       with the schedule-space backend and reports the winner's pessimism,
-//       `simulate` implies --simulate.  --exact-jobs sets the exploration
-//       worker count (0 = hardware; bounds are bit-identical for any value)
-//       and --no-exact-reuse disables the cross-move exact-space cache —
-//       both exact-mode only.  --json writes the deterministic
+//       `simulate` implies --simulate.  --exact-jobs is accepted and
+//       ignored (the exploration is serial; use --jobs or --threads for
+//       parallelism) and --no-exact-reuse disables the cross-move
+//       exact-space cache — both exact-mode only.  --json writes the deterministic
 //       machine-readable report of flexopt/io/solve_report_json.hpp.
 //
 //   flexopt_cli simulate <system-file> [--algorithm NAME] [--seed N] [--budget N]
@@ -71,8 +71,8 @@ int usage() {
          "                   [--budget MAX_EVALUATIONS] [--time-limit SECONDS]\n"
          "                   [--threads N] [--members LIST] [--jobs N]\n"
          "                   [--analysis-mode holistic|exact|simulate]\n"
-         "                   [--exact-jobs N] [--no-exact-reuse] [--json FILE]\n"
-         "                   [--progress] [--no-cache] [--simulate] [--dump]\n"
+         "                   [--exact-jobs N (ignored)] [--no-exact-reuse]\n"
+         "                   [--json FILE] [--progress] [--no-cache] [--simulate] [--dump]\n"
          "       flexopt_cli simulate <system-file> [--algorithm NAME] [--seed N]\n"
          "                   [--budget N] [--time-limit S] [--threads N]\n"
          "                   [--hyperperiods N] [--trace FILE] [--no-cache]\n"
