@@ -31,7 +31,7 @@ Cost evaluate_with_frame_ids(const Application& app, const BusParams& params,
   // A roomy mid-range segment keeps the comparison about FrameIDs only.
   config.minislot_count = std::min(bounds.max_minislots, bounds.min_minislots * 3 + 64);
   CostEvaluator evaluator(app, params, optimizer_analysis_options());
-  const auto eval = evaluator.evaluate(config);
+  const auto eval = evaluator.evaluate(SystemConfig::single(config));
   return eval.valid ? eval.cost : Cost{kInvalidConfigCost, false, 0};
 }
 

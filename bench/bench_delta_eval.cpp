@@ -2,8 +2,8 @@
 // throughput and the allocation contract of the arena hot path.
 //
 // Replays an SA-style neighbour-move workload over the Fig. 9 smoke
-// population through evaluate_delta_fast (with an explicit base
-// Evaluation) twice on one evaluator — a recording pass that warms the
+// population through CostEvaluator::evaluate(base, move) — the call SA
+// makes — twice on one evaluator — a recording pass that warms the
 // component cache, binds the arena and grows scratch to capacity, then a
 // measured warm-replay pass over the bit-identical RNG stream.  The replay
 // is the steady state: it reports moves/sec and — when the operator new
@@ -58,14 +58,13 @@ struct SteadyResult {
   long invalid = 0;    ///< error-path evaluations (excluded from the alloc gate)
   long accepted = 0;
   bool replay_identical = true;  ///< warm replay reproduced the recording pass
-  double eval_wall = 0.0;        ///< wall time inside evaluate_delta_fast only
+  double eval_wall = 0.0;        ///< wall time inside evaluate(base, move) only
   std::uint64_t allocations = 0; ///< heap allocations inside measured evaluations
   EvaluatorWorkStats work;
 };
 
-/// The arena hot path under the SA move distribution, with the base
-/// threaded explicitly as the last accepted Evaluation — the shape SA
-/// itself uses.
+/// The arena hot path under the SA move distribution, called exactly as SA
+/// calls it: a one-cluster base SystemConfig plus a cluster-0 move.
 ///
 /// The trajectory is replayed twice through the SAME evaluator.  The first
 /// (recording) pass is pure warm-up: every move geometry lands in the
@@ -94,10 +93,13 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
   const DynBounds& bounds = start.bounds;
   std::vector<double> recorded_costs;
 
+  // Built once, outside the measured window: each move replaces the one
+  // cluster's whole configuration, so the base stays fixed across the walk.
+  const SystemConfig base = SystemConfig::single(start.config);
   const auto run_pass = [&](bool measured) {
     BusConfig current = start.config;
-    CostEvaluator::Evaluation accepted_eval = evaluator.evaluate(current);
-    double current_cost = accepted_eval.valid ? accepted_eval.cost.value : kInvalidConfigCost;
+    const CostEvaluator::Evaluation start_eval = evaluator.evaluate(base);
+    double current_cost = start_eval.valid ? start_eval.cost.value : kInvalidConfigCost;
 
     // Same seeds on both passes => bit-identical move distribution and
     // acceptance decisions.
@@ -114,12 +116,11 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
                                       bounds.min_minislots, SpecLimits::kMaxMinislots);
       }
       if (!moved) continue;
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
+      DeltaMove move = DeltaMove::flexray(std::move(neighbour));
 
       const std::uint64_t a0 = alloc_probe::thread_allocations();
       const auto t0 = std::chrono::steady_clock::now();
-      const CostEvaluator::Evaluation& eval =
-          evaluator.evaluate_delta_fast(accepted_eval, move);
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate(base, move);
       const double elapsed = seconds_since(t0);
       const std::uint64_t evaluation_allocs = alloc_probe::thread_allocations() - a0;
 
@@ -143,9 +144,6 @@ SteadyResult run_steady_state(const Application& app, const BusParams& params, i
       const double delta = cost - current_cost;
       if (delta <= 0.0 ||
           accept_rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {
-        // Copies out of the thread slot (outside the measured region, and
-        // capacity-reusing after the first few accepts).
-        accepted_eval = eval;
         current = std::move(move.config);
         current_cost = cost;
         if (measured) ++r.accepted;
@@ -209,7 +207,7 @@ int main(int argc, char** argv) {
   }
 
   const bool probe = alloc_probe::installed();
-  std::cout << "== Steady-state arena hot path (evaluate_delta_fast, cache off) ==\n";
+  std::cout << "== Steady-state arena hot path (evaluate(base, move), cache off) ==\n";
   std::cout << "alloc probe: " << (probe ? "installed" : "absent (sanitizer build)")
             << ", build: " << (kReleaseBuild ? "Release" : "Debug") << "\n";
   Table steady_table({"nodes", "measured", "accepted", "components", "eval (s)", "moves/s",

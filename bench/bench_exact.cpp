@@ -323,8 +323,8 @@ DeltaResult run_exact_delta(const Application& app, const BusParams& params,
 
   const auto run_pass = [&](bool measured) {
     BusConfig current = start.config;
-    const auto c0 = cold.evaluate(current);
-    const auto w0 = warm.evaluate(current);
+    const auto c0 = cold.evaluate(SystemConfig::single(current));
+    const auto w0 = warm.evaluate(SystemConfig::single(current));
     if (c0.valid != w0.valid || (c0.valid && c0.cost.value != w0.cost.value)) {
       r.identical = false;
     }
@@ -344,11 +344,10 @@ DeltaResult run_exact_delta(const Application& app, const BusParams& params,
                                       bounds.min_minislots, SpecLimits::kMaxMinislots);
       }
       if (!moved) continue;
-      DeltaMove cold_move = DeltaMove::between(current, BusConfig(neighbour));
-      DeltaMove warm_move = DeltaMove::between(current, std::move(neighbour));
-
-      const auto ec = cold.evaluate_delta(current, cold_move);
-      const auto ew = warm.evaluate_delta(current, warm_move);
+      const SystemConfig base = SystemConfig::single(current);
+      const DeltaMove move = DeltaMove::flexray(std::move(neighbour));
+      const auto ec = cold.evaluate(base, move);
+      const auto& ew = warm.evaluate(base, move);
       if (measured) ++r.proposed;
       if (ec.valid != ew.valid || (ec.valid && ec.cost.value != ew.cost.value)) {
         r.identical = false;
@@ -358,7 +357,7 @@ DeltaResult run_exact_delta(const Application& app, const BusParams& params,
       const double delta = cost - current_cost;
       if (delta <= 0.0 ||
           accept_rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {
-        current = std::move(cold_move.config);
+        current = move.config;
         current_cost = cost;
         if (measured) ++r.accepted;
       }

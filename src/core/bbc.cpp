@@ -10,10 +10,11 @@
 
 namespace flexopt {
 
-OptimizationOutcome optimize_bbc(CostEvaluator& evaluator, const BbcOptions& options,
+OptimizationOutcome optimize_bbc(CostEvaluator& evaluator, const SystemConfig& system,
+                                 int cluster, const BbcOptions& options,
                                  SolveControl* control) {
   const auto t0 = std::chrono::steady_clock::now();
-  const Application& app = evaluator.application();
+  const Application& app = *evaluator.system_model().cluster_app(static_cast<std::size_t>(cluster));
   const BusParams& params = evaluator.params();
   const long evals_before = evaluator.evaluations();
 
@@ -44,7 +45,7 @@ OptimizationOutcome optimize_bbc(CostEvaluator& evaluator, const BbcOptions& opt
   // Fig. 5 lines 5-12: sweep the DYN segment length in parallel batches,
   // keep the best cost (in-order strictly-better selection == serial sweep).
   detail::batched_minislot_sweep(
-      evaluator, base, bounds.min_minislots, bounds.max_minislots, stride, control,
+      evaluator, system, cluster, base, bounds.min_minislots, bounds.max_minislots, stride, control,
       [&](int minislots, const CostEvaluator::Evaluation& eval) {
         if (eval.cost.value < outcome.cost.value) {
           outcome.cost = eval.cost;

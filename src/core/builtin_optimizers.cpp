@@ -39,9 +39,10 @@ class BbcOptimizer final : public Optimizer {
  public:
   explicit BbcOptimizer(BbcOptions options) : options_(options) {}
   [[nodiscard]] std::string_view name() const override { return "bbc"; }
-  SolveReport solve_cluster(CostEvaluator& evaluator, const SolveRequest& request) override {
+  SolveReport solve_cluster(CostEvaluator& evaluator, const SystemConfig& system, int cluster,
+                            const SolveRequest& request) override {
     return run_with_control(evaluator, request, "BBC", [&](SolveControl& control) {
-      return optimize_bbc(evaluator, options_, &control);
+      return optimize_bbc(evaluator, system, cluster, options_, &control);
     });
   }
 
@@ -53,10 +54,11 @@ class ObcEeOptimizer final : public Optimizer {
  public:
   explicit ObcEeOptimizer(ObcEeParams params) : params_(std::move(params)) {}
   [[nodiscard]] std::string_view name() const override { return "obc-ee"; }
-  SolveReport solve_cluster(CostEvaluator& evaluator, const SolveRequest& request) override {
+  SolveReport solve_cluster(CostEvaluator& evaluator, const SystemConfig& system, int cluster,
+                            const SolveRequest& request) override {
     return run_with_control(evaluator, request, "OBC-EE", [&](SolveControl& control) {
       ExhaustiveDynSearch strategy(params_.dyn);
-      return optimize_obc(evaluator, strategy, params_.obc, &control);
+      return optimize_obc(evaluator, system, cluster, strategy, params_.obc, &control);
     });
   }
 
@@ -68,10 +70,11 @@ class ObcCfOptimizer final : public Optimizer {
  public:
   explicit ObcCfOptimizer(ObcCfParams params) : params_(std::move(params)) {}
   [[nodiscard]] std::string_view name() const override { return "obc-cf"; }
-  SolveReport solve_cluster(CostEvaluator& evaluator, const SolveRequest& request) override {
+  SolveReport solve_cluster(CostEvaluator& evaluator, const SystemConfig& system, int cluster,
+                            const SolveRequest& request) override {
     return run_with_control(evaluator, request, "OBC-CF", [&](SolveControl& control) {
       CurveFitDynSearch strategy(params_.dyn);
-      return optimize_obc(evaluator, strategy, params_.obc, &control);
+      return optimize_obc(evaluator, system, cluster, strategy, params_.obc, &control);
     });
   }
 
@@ -83,12 +86,13 @@ class SaOptimizer final : public Optimizer {
  public:
   explicit SaOptimizer(SaOptions options) : options_(options) {}
   [[nodiscard]] std::string_view name() const override { return "sa"; }
-  SolveReport solve_cluster(CostEvaluator& evaluator, const SolveRequest& request) override {
+  SolveReport solve_cluster(CostEvaluator& evaluator, const SystemConfig& system, int cluster,
+                            const SolveRequest& request) override {
     SaOptions options = options_;
     if (request.seed) options.seed = *request.seed;
     if (request.max_evaluations > 0) options.max_evaluations = request.max_evaluations;
     return run_with_control(evaluator, request, "SA", [&](SolveControl& control) {
-      OptimizationOutcome outcome = optimize_sa(evaluator, options, &control);
+      OptimizationOutcome outcome = optimize_sa(evaluator, system, cluster, options, &control);
       // SA's own loop enforces the same budget and usually exits before the
       // control notices; fix up the status so the report says *why* it
       // ended (BudgetExhausted, not Complete) when the budget was the reason.

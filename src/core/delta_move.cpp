@@ -4,9 +4,10 @@
 
 namespace flexopt {
 
-DeltaMove DeltaMove::between(const BusConfig& /*base*/, BusConfig next) {
+DeltaMove DeltaMove::flexray(BusConfig next, int cluster) {
   DeltaMove move;
   move.config = std::move(next);
+  move.cluster = cluster;
   return move;
 }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -21,67 +20,32 @@ int auto_stride(int span, int max_points) {
   return std::max(1, span / std::max(1, max_points - 1));
 }
 
-/// Evaluates `candidate` as a DeltaMove off the previously analysed
-/// configuration, advancing the chain on success.  The shared inner-sweep
-/// primitive of both DYN strategies' delta paths.
-CostEvaluator::Evaluation evaluate_chained(CostEvaluator& evaluator,
-                                           std::optional<BusConfig>& chain_base,
-                                           const BusConfig& candidate) {
-  CostEvaluator::Evaluation eval;
-  if (chain_base.has_value()) {
-    eval = evaluator.evaluate_delta(*chain_base, DeltaMove::between(*chain_base, candidate));
-  } else {
-    eval = evaluator.evaluate(candidate);
-  }
-  if (eval.valid) chain_base = candidate;
-  return eval;
-}
-
 }  // namespace
 
-DynSearchResult ExhaustiveDynSearch::search(CostEvaluator& evaluator, const BusConfig& base,
-                                            int dyn_min, int dyn_max, SolveControl* control,
-                                            const BusConfig* warm_base) {
+DynSearchResult ExhaustiveDynSearch::search(CostEvaluator& evaluator, const SystemConfig& system,
+                                            int cluster, const BusConfig& base, int dyn_min,
+                                            int dyn_max, SolveControl* control) {
   DynSearchResult best;
   const int stride = options_.stride_minislots > 0
                          ? options_.stride_minislots
                          : auto_stride(dyn_max - dyn_min, options_.max_sweep_points);
-
-  auto note = [&](int minislots, const CostEvaluator::Evaluation& eval) {
-    if (eval.valid && eval.cost.value < best.cost.value) {
-      best.cost = eval.cost;
-      best.minislots = minislots;
-      best.exact = true;
-      if (control != nullptr) control->note_best(best.cost);
-    }
-  };
-
-  if (evaluator.worker_threads() <= 1) {
-    // No pool to fan candidates across: sweep sequentially on the
-    // allocation-free delta path, each point a DeltaMove off the previous
-    // one (results match the batched sweep bit for bit).
-    std::optional<BusConfig> chain_base;
-    if (warm_base != nullptr) chain_base = *warm_base;
-    for (int minislots = dyn_min; minislots <= dyn_max; minislots += stride) {
-      if (control != nullptr && control->should_stop(evaluator)) break;
-      BusConfig candidate = base;
-      candidate.minislot_count = minislots;
-      note(minislots, evaluate_chained(evaluator, chain_base, candidate));
-    }
-    return best;
-  }
-
-  detail::batched_minislot_sweep(evaluator, base, dyn_min, dyn_max, stride, control,
+  detail::batched_minislot_sweep(evaluator, system, cluster, base, dyn_min, dyn_max, stride,
+                                 control,
                                  [&](int minislots, const CostEvaluator::Evaluation& eval) {
-                                   note(minislots, eval);
+                                   if (eval.cost.value < best.cost.value) {
+                                     best.cost = eval.cost;
+                                     best.minislots = minislots;
+                                     best.exact = true;
+                                     if (control != nullptr) control->note_best(best.cost);
+                                   }
                                  });
   return best;
 }
 
-DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusConfig& base,
-                                          int dyn_min, int dyn_max, SolveControl* control,
-                                          const BusConfig* warm_base) {
-  const Application& app = evaluator.application();
+DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const SystemConfig& system,
+                                          int cluster, const BusConfig& base, int dyn_min,
+                                          int dyn_max, SolveControl* control) {
+  const Application& app = *evaluator.system_model().cluster_app(static_cast<std::size_t>(cluster));
 
   // Completion bounds are fitted in microseconds; unbounded completions are
   // mapped to the same 10x-deadline magnitude the cost function charges, so
@@ -103,16 +67,11 @@ DynSearchResult CurveFitDynSearch::search(CostEvaluator& evaluator, const BusCon
   std::map<int, PointData> points;
   int last_point = 0;  // abscissa of the most recently analysed point
 
-  // Fig. 8's points are analysed one at a time on the delta path, each
-  // chained off the previous one.
-  std::optional<BusConfig> chain_base;
-  if (warm_base != nullptr) chain_base = *warm_base;
-
   auto analyse_point = [&](int minislots) -> const PointData* {
     if (const auto it = points.find(minislots); it != points.end()) return &it->second;
-    BusConfig candidate = base;
-    candidate.minislot_count = minislots;
-    const auto eval = evaluate_chained(evaluator, chain_base, candidate);
+    DeltaMove move = DeltaMove::flexray(base, cluster);
+    move.config.minislot_count = minislots;
+    const CostEvaluator::Evaluation& eval = evaluator.evaluate(system, move);
     if (!eval.valid) return nullptr;
     PointData data;
     data.cost = eval.cost;

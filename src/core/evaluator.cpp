@@ -19,9 +19,14 @@ namespace flexopt {
 struct CostEvaluator::ThreadSlot {
   std::mutex mutex;
   EvaluatorWorkStats stats;  // guarded by mutex
-  AnalysisArena arena;       ///< fixed-point state, reused per evaluation
+  AnalysisArena arena;       ///< the single-move form's fixed-point state
+  /// The batch form's fixed-point state.  Its binds are not reported: which
+  /// pool thread analyses a candidate is scheduling, and reports must not
+  /// depend on it.
+  AnalysisArena batch_arena;
   BusLayout layout;          ///< rebuilt in place per candidate
-  Evaluation eval;           ///< evaluate_delta_fast's return storage
+  Evaluation eval;           ///< the single-move form's return storage
+  SystemConfig next;         ///< base with a move substituted (capacity reused)
 };
 
 namespace {
@@ -107,18 +112,16 @@ CostEvaluator::CostEvaluator(SystemModel model, const BusParams& params,
       params_(params),
       options_(options),
       evaluator_options_(evaluator_options),
+      bus_path_(model_.single_cluster() && model_.cluster_app(0)->cluster_backend(ClusterId{0}) ==
+                                               ClusterBackendKind::FlexRay),
       id_(g_next_evaluator_id.fetch_add(1, std::memory_order_relaxed)) {
-  // Cluster 0 shares the long-standing components_ member (the whole
-  // single-cluster pipeline keys off it); the other clusters get their own
-  // cache so geometry components never alias across buses.  The pointer
-  // table is built once — the evaluator is immovable, so the addresses
-  // hold — keeping the per-candidate hot path allocation-free.
-  extra_components_.resize(model_.cluster_count());
-  cluster_caches_.resize(model_.cluster_count());
-  cluster_caches_[0] = &components_;
-  for (std::size_t c = 1; c < model_.cluster_count(); ++c) {
-    extra_components_[c] = std::make_unique<AnalysisComponentCache>();
-    cluster_caches_[c] = extra_components_[c].get();
+  // One component cache per cluster, so geometry components never alias
+  // across buses.  The pointer table is built once — the evaluator is
+  // immovable, so the addresses hold — keeping the per-candidate hot path
+  // allocation-free.
+  for (std::size_t c = 0; c < model_.cluster_count(); ++c) {
+    components_.push_back(std::make_unique<AnalysisComponentCache>());
+    cluster_caches_.push_back(components_.back().get());
   }
 }
 
@@ -140,6 +143,36 @@ SystemModel model_for_application(std::shared_ptr<const Application> app) {
   return SystemModel::single(std::move(app));
 }
 
+#ifndef NDEBUG
+/// Debug cross-check of a cache-served single-bus analysis against a cold
+/// analyze_system (one-shot component cache and arena), bit for bit.
+void assert_matches_cold(const BusLayout& layout, const AnalysisOptions& options,
+                         const CostEvaluator::Evaluation& out) {
+  auto cold = analyze_system(layout, options);
+  assert(cold.ok() == out.valid);
+  if (!cold.ok()) return;
+  const AnalysisResult& ref = cold.value();
+  assert(out.analysis.converged == ref.converged);
+  assert(out.analysis.task_completion == ref.task_completion);
+  assert(out.analysis.message_completion == ref.message_completion);
+  assert(out.analysis.task_jitter == ref.task_jitter);
+  assert(out.analysis.message_jitter == ref.message_jitter);
+  assert(out.cost.value == ref.cost.value);
+  assert(out.cost.schedulable == ref.cost.schedulable);
+  assert(out.cost.unbounded_activities == ref.cost.unbounded_activities);
+  if (options.mode == AnalysisMode::Exact) {
+    // Bounds AND engine counters, so a stale or mis-keyed exact-space
+    // entry can never hide behind equal costs.
+    assert(out.analysis.exact != nullptr && ref.exact != nullptr);
+    assert(out.analysis.exact->fallback == ref.exact->fallback);
+    assert(out.analysis.exact->explored_states == ref.exact->explored_states);
+    assert(out.analysis.exact->merged_states == ref.exact->merged_states);
+    assert(out.analysis.exact->transitions == ref.exact->transitions);
+    assert(out.analysis.exact->refined_messages == ref.exact->refined_messages);
+  }
+}
+#endif
+
 }  // namespace
 
 CostEvaluator::CostEvaluator(std::shared_ptr<const Application> app, const BusParams& params,
@@ -153,53 +186,26 @@ CostEvaluator::CostEvaluator(const Application& app, const BusParams& params,
                     evaluator_options) {}
 
 CostEvaluator::CostEvaluator(const CostEvaluator& parent, EvaluatorOptions evaluator_options)
-    : CostEvaluator(parent.model_, parent.params_, parent.options_, evaluator_options) {
-  focus_context_ = parent.focus_context_;
-  focus_cluster_ = parent.focus_cluster_;
-}
+    : CostEvaluator(parent.model_, parent.params_, parent.options_, evaluator_options) {}
 
-void CostEvaluator::set_focus(SystemConfig context, int cluster) {
-  // Focus is a multi-cluster FlexRay concept; any invalid request
-  // (single-cluster system, cluster out of range, context of the wrong
-  // width, focused cluster not a FlexRay bus) degrades to "no focus" in
-  // every build type rather than risking an out-of-range or cross-backend
-  // substitution on the next evaluate() call.
-  if (model_.single_cluster() || cluster < 0 ||
-      static_cast<std::size_t>(cluster) >= model_.cluster_count() ||
-      context.cluster_count() != model_.cluster_count() ||
-      context.clusters[static_cast<std::size_t>(cluster)].kind !=
-          ClusterBackendKind::FlexRay) {
-    clear_focus();
-    return;
+void CostEvaluator::count_evaluation(ThreadSlot& s, const AnalysisWorkCounters& counters,
+                                     bool delta) {
+  std::lock_guard<std::mutex> lock(s.mutex);
+  s.stats.analysis += counters;
+  if (delta) {
+    ++s.stats.delta_evaluations;
+    s.stats.components_per_delta.record(counters.fps_analyses + counters.dyn_analyses +
+                                        counters.schedule_builds);
+  } else {
+    ++s.stats.full_evaluations;
   }
-  focus_context_ = std::move(context);
-  focus_cluster_ = cluster;
+  // The single-move arena tracks its own lifetime totals; mirroring them
+  // (assignment, not accumulation) keeps the sum over slots exact.
+  s.stats.arena_binds = s.arena.binds;
+  s.stats.arena_reuses = s.arena.reuses;
 }
 
-void CostEvaluator::clear_focus() {
-  focus_cluster_ = -1;
-  focus_context_ = SystemConfig{};
-}
-
-CostEvaluator::Evaluation CostEvaluator::focused_view(const Evaluation& full) const {
-  // Single-bus algorithms searching a focused cluster read per-activity
-  // completions off Evaluation::analysis (the OBC curve fit); hand them the
-  // focused cluster's holistic result and nothing else — copying all C
-  // cluster results out of the cache per candidate would dominate the
-  // descent's hottest path.
-  Evaluation out;
-  out.valid = full.valid;
-  out.cost = full.cost;
-  out.multicluster_converged = full.multicluster_converged;
-  out.error = full.error;
-  const auto focus = static_cast<std::size_t>(focus_cluster_);
-  if (full.valid && focused() && focus < full.cluster_analysis.size()) {
-    out.analysis = full.cluster_analysis[focus];
-  }
-  return out;
-}
-
-CostEvaluator::Evaluation CostEvaluator::analyze(const BusConfig& config) {
+CostEvaluator::Evaluation CostEvaluator::analyze(const BusConfig& config, bool delta) {
   Evaluation out;
   ThreadSlot& s = slot();
   auto layout = s.layout.assign(*app_, params_, config);
@@ -209,13 +215,12 @@ CostEvaluator::Evaluation CostEvaluator::analyze(const BusConfig& config) {
   }
   evaluations_.fetch_add(1, std::memory_order_relaxed);
   AnalysisWorkCounters counters;
-  // The component cache serves the schedule tables the delta path built
-  // (and vice versa); in exact mode its exact-space store also replays the
-  // explored frontier of configurations whose DYN inputs are unchanged
-  // (bit-identical either way; asserted below).
-  auto analysis = analyze_system(s.layout, options_, &counters, {}, {}, &components_);
-  add_work(counters);
-  count_evaluation(/*delta=*/false);
+  // The component cache serves the schedule tables other candidates built;
+  // in exact mode its exact-space store also replays the explored frontier
+  // of configurations whose DYN inputs are unchanged (bit-identical either
+  // way; asserted below).
+  auto analysis = analyze_system(s.layout, options_, &counters, {}, {}, cluster_caches_[0]);
+  count_evaluation(s, counters, delta);
   if (!analysis.ok()) {
     out.error = analysis.error().message;
     return out;
@@ -223,26 +228,11 @@ CostEvaluator::Evaluation CostEvaluator::analyze(const BusConfig& config) {
   out.valid = true;
   out.analysis = std::move(analysis).value();
   out.cost = out.analysis.cost;
-
 #ifndef NDEBUG
-  // Debug builds cross-check every cache-served exact analysis against a
-  // cold exploration, bit for bit — bounds AND engine counters, so a stale
-  // or mis-keyed exact-space entry can never hide behind equal costs.
-  if (options_.mode == AnalysisMode::Exact && options_.exact.reuse_base_frontier) {
-    auto cold = analyze_system(s.layout, options_);
-    assert(cold.ok());
-    if (cold.ok()) {
-      const AnalysisResult& ref = cold.value();
-      assert(out.analysis.task_completion == ref.task_completion);
-      assert(out.analysis.message_completion == ref.message_completion);
-      assert(out.analysis.cost.value == ref.cost.value);
-      assert(out.analysis.exact != nullptr && ref.exact != nullptr);
-      assert(out.analysis.exact->fallback == ref.exact->fallback);
-      assert(out.analysis.exact->explored_states == ref.exact->explored_states);
-      assert(out.analysis.exact->merged_states == ref.exact->merged_states);
-      assert(out.analysis.exact->transitions == ref.exact->transitions);
-      assert(out.analysis.exact->refined_messages == ref.exact->refined_messages);
-    }
+  // Every move, and every exact-mode analysis (whose frontier the cache may
+  // have replayed), is checked against a cold analysis.
+  if (delta || (options_.mode == AnalysisMode::Exact && options_.exact.reuse_base_frontier)) {
+    assert_matches_cold(s.layout, options_, out);
   }
 #endif
   return out;
@@ -282,247 +272,133 @@ void CostEvaluator::insert_system_cache(const SystemConfig& config,
   }
 }
 
-void CostEvaluator::add_work(const AnalysisWorkCounters& counters) {
-  ThreadSlot& s = slot();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  s.stats.analysis += counters;
-}
-
-void CostEvaluator::count_evaluation(bool delta) {
-  ThreadSlot& s = slot();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  ++(delta ? s.stats.delta_evaluations : s.stats.full_evaluations);
-}
-
-CostEvaluator::Evaluation CostEvaluator::evaluate(const BusConfig& config) {
-  if (focused()) {
-    SystemConfig candidate = focus_context_;
-    candidate.clusters[static_cast<std::size_t>(focus_cluster_)] =
-        ClusterConfig::flexray_bus(config);
-    return evaluate_system_impl(candidate, /*count_as_delta=*/false, /*focused_view=*/true);
-  }
-  if (model_.cluster_count() > 1) {
-    Evaluation out;
-    out.error = "multi-cluster evaluator: use evaluate_system() or set_focus()";
-    return out;
-  }
-  if (!evaluator_options_.cache_enabled) return analyze(config);
-
+std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::bus_entry(
+    const BusConfig& config, bool delta) {
   if (const auto hit = cached(config)) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    return *hit;
+    return hit;
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  if (evaluator_options_.cache_enabled) cache_misses_.fetch_add(1, std::memory_order_relaxed);
   // Concurrent misses of the same configuration analyse redundantly but
   // converge on identical values (the analysis is deterministic), so no
   // per-key coordination is needed.
-  auto entry = std::make_shared<const Evaluation>(analyze(config));
+  auto entry = std::make_shared<const Evaluation>(analyze(config, delta));
   insert_cache(config, entry);
-  return *entry;
+  return entry;
 }
 
-const CostEvaluator::Evaluation& CostEvaluator::delta_fast_impl(const DeltaMove& move) {
-  ThreadSlot& s = slot();
-  if (options_.mode == AnalysisMode::Exact) {
-    // Exact-mode deltas take the full path: analyze() serves the
-    // schedule-space exploration from the component cache's exact-space
-    // store, so a move that leaves the DYN geometry and message set
-    // untouched replays the base frontier instead of re-exploring.
-    s.eval = evaluate(move.config);
-    return s.eval;
+std::shared_ptr<const CostEvaluator::Evaluation> CostEvaluator::system_entry(
+    const SystemConfig& config, bool delta) {
+  if (const auto hit = cached_system(config)) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return hit;
   }
-  Evaluation& out = s.eval;
-  if (const auto hit = cached(move.config)) {
+  if (evaluator_options_.cache_enabled) cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  auto entry = std::make_shared<const Evaluation>(analyze_system_config(config, delta));
+  insert_system_cache(config, entry);
+  return entry;
+}
+
+CostEvaluator::Evaluation CostEvaluator::evaluate(const SystemConfig& config) {
+  if (bus_path_ && config.cluster_count() == 1 &&
+      config.clusters[0].kind == ClusterBackendKind::FlexRay) {
+    return *bus_entry(config.clusters[0].flexray, /*delta=*/false);
+  }
+  return *system_entry(config, /*delta=*/false);
+}
+
+const CostEvaluator::Evaluation& CostEvaluator::evaluate(const SystemConfig& base,
+                                                        const DeltaMove& move) {
+  ThreadSlot& s = slot();
+  evaluate_move(base, move, s, s.eval, /*batch=*/false);
+  return s.eval;
+}
+
+void CostEvaluator::evaluate_move(const SystemConfig& base, const DeltaMove& move,
+                                  ThreadSlot& s, Evaluation& out, bool batch) {
+  if (bus_path_ && move.cluster == 0 && move.backend == ClusterBackendKind::FlexRay) {
+    if (options_.mode == AnalysisMode::Exact) {
+      // Exact-mode moves take the cached full path: its component cache
+      // replays the base frontier of a move that leaves the DYN geometry
+      // and message set untouched.
+      out = *bus_entry(move.config, /*delta=*/true);
+    } else {
+      analyze_in_arena(move.config, s, batch ? s.batch_arena : s.arena, out);
+    }
+    return;
+  }
+  const auto c = static_cast<std::size_t>(move.cluster);
+  if (move.cluster < 0 || c >= base.cluster_count() ||
+      base.cluster_count() != model_.cluster_count() ||
+      base.clusters[c].kind != move.backend) {
+    out = Evaluation{};
+    out.error = "evaluate: move cluster, backend or base config out of range";
+    return;
+  }
+  s.next = base;
+  if (move.backend == ClusterBackendKind::Tsn) {
+    s.next.clusters[c].tsn = move.tsn;
+  } else {
+    s.next.clusters[c].flexray = move.config;
+  }
+  // The move's view: cost plus the moved cluster's holistic result only —
+  // copying every cluster's result out of the cache per candidate would
+  // dominate the descent's hottest path.
+  const auto entry = system_entry(s.next, /*delta=*/true);
+  out.valid = entry->valid;
+  out.cost = entry->cost;
+  out.multicluster_converged = entry->multicluster_converged;
+  out.error = entry->error;
+  out.cluster_analysis.clear();
+  if (c < entry->cluster_analysis.size()) {
+    out.analysis = entry->cluster_analysis[c];
+  } else {
+    out.analysis = AnalysisResult{};
+  }
+}
+
+void CostEvaluator::analyze_in_arena(const BusConfig& config, ThreadSlot& s,
+                                     AnalysisArena& arena, Evaluation& out) {
+  if (const auto hit = cached(config)) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     out = *hit;  // vector assignments reuse the slot's capacity
-    return out;
+    return;
   }
-  if (evaluator_options_.cache_enabled) {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (evaluator_options_.cache_enabled) cache_misses_.fetch_add(1, std::memory_order_relaxed);
   out.valid = false;
   out.error.clear();
   out.cost = Cost{kInvalidConfigCost, false, 0};
   out.cluster_analysis.clear();
   out.multicluster_converged = true;
 
-  auto layout = s.layout.assign(*app_, params_, move.config);
-  if (!layout.ok()) {
-    out.error = layout.error().message;
-    if (evaluator_options_.cache_enabled) {
-      insert_cache(move.config, std::make_shared<const Evaluation>(out));
-    }
-    return out;
-  }
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  AnalysisWorkCounters counters;
-  auto analysis = analyze_system_incremental_into(s.layout, options_, components_, s.arena,
-                                                  out.analysis, &counters);
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    s.stats.analysis += counters;
-    ++s.stats.delta_evaluations;
-    // The arena tracks its own lifetime totals; mirroring them (assignment,
-    // not accumulation) keeps the sum over slots exact.
-    s.stats.arena_binds = s.arena.binds;
-    s.stats.arena_reuses = s.arena.reuses;
-    s.stats.components_per_delta.record(counters.fps_analyses + counters.dyn_analyses +
-                                        counters.schedule_builds);
-  }
-  if (!analysis.ok()) {
-    out.error = analysis.error().message;
-    if (evaluator_options_.cache_enabled) {
-      insert_cache(move.config, std::make_shared<const Evaluation>(out));
-    }
-    return out;
-  }
-  out.valid = true;
-  out.cost = out.analysis.cost;
-
+  auto layout = s.layout.assign(*app_, params_, config);
+  if (layout.ok()) {
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    AnalysisWorkCounters counters;
+    auto analysis = analyze_system_incremental_into(s.layout, options_, *cluster_caches_[0],
+                                                    arena, out.analysis, &counters);
+    count_evaluation(s, counters, /*delta=*/true);
+    if (analysis.ok()) {
+      out.valid = true;
+      out.cost = out.analysis.cost;
 #ifndef NDEBUG
-  // Debug builds cross-check the thread slot's reused arena and the shared
-  // component cache against a cold analyze_system (one-shot cache and
-  // arena), bit for bit.  The cold call does not touch the evaluator's
-  // counters.
-  auto full = analyze_system(s.layout, options_);
-  assert(full.ok() == out.valid);
-  if (full.ok()) {
-    const AnalysisResult& reference = full.value();
-    assert(out.analysis.converged == reference.converged);
-    assert(out.analysis.task_completion == reference.task_completion);
-    assert(out.analysis.message_completion == reference.message_completion);
-    assert(out.analysis.task_jitter == reference.task_jitter);
-    assert(out.analysis.message_jitter == reference.message_jitter);
-    assert(out.cost.value == reference.cost.value);
-    assert(out.cost.schedulable == reference.cost.schedulable);
-    assert(out.cost.unbounded_activities == reference.cost.unbounded_activities);
-  }
+      // The slot's reused arena and the shared component cache against a
+      // cold analysis; the cold call does not touch the counters.
+      assert_matches_cold(s.layout, options_, out);
 #endif
+    } else {
+      out.error = analysis.error().message;
+    }
+  } else {
+    out.error = layout.error().message;
+  }
   if (evaluator_options_.cache_enabled) {
-    insert_cache(move.config, std::make_shared<const Evaluation>(out));
+    insert_cache(config, std::make_shared<const Evaluation>(out));
   }
-  return out;
-}
-
-const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(const BusConfig& base,
-                                                                    const DeltaMove& move) {
-  // The base is never analysed (every analysis starts from scratch); the
-  // parameter keeps the call shape of the move sites.
-  if (focused() || model_.cluster_count() > 1) {
-    // Cross-cluster paths allocate; route through the by-value overload and
-    // park the result in the slot so the reference contract still holds.
-    ThreadSlot& s = slot();
-    s.eval = evaluate_delta(base, move);
-    return s.eval;
-  }
-  if (move.backend != ClusterBackendKind::FlexRay) {
-    ThreadSlot& s = slot();
-    s.eval = Evaluation{};
-    s.eval.error = "evaluate_delta: TSN moves go through the SystemConfig overload";
-    return s.eval;
-  }
-  return delta_fast_impl(move);
-}
-
-const CostEvaluator::Evaluation& CostEvaluator::evaluate_delta_fast(
-    const Evaluation& /*base_eval*/, const DeltaMove& move) {
-  if (focused() || model_.cluster_count() > 1) {
-    // The base is implicit on these paths (focus context / system config);
-    // the BusConfig argument of the sibling overload is unused there.
-    ThreadSlot& s = slot();
-    s.eval = evaluate_delta(BusConfig{}, move);
-    return s.eval;
-  }
-  ThreadSlot& s = slot();
-  if (move.backend != ClusterBackendKind::FlexRay) {
-    s.eval = Evaluation{};
-    s.eval.error = "evaluate_delta: TSN moves go through the SystemConfig overload";
-    return s.eval;
-  }
-  return delta_fast_impl(move);
-}
-
-CostEvaluator::Evaluation CostEvaluator::evaluate_delta(const BusConfig& base,
-                                                        const DeltaMove& move) {
-  if (focused()) {
-    // The base is implicit (the focus context); only the substituted
-    // candidate matters.  Focused
-    // clusters are FlexRay by the set_focus guard, so the move's FlexRay
-    // payload is the one that applies.
-    SystemConfig next = focus_context_;
-    next.clusters[static_cast<std::size_t>(focus_cluster_)] =
-        ClusterConfig::flexray_bus(move.config);
-    return evaluate_system_impl(next, /*count_as_delta=*/true, /*focused_view=*/true);
-  }
-  if (model_.cluster_count() > 1) {
-    Evaluation out;
-    out.error = "multi-cluster evaluator: use the SystemConfig evaluate_delta overload";
-    return out;
-  }
-  if (move.backend != ClusterBackendKind::FlexRay) {
-    Evaluation out;
-    out.error = "evaluate_delta: TSN moves go through the SystemConfig overload";
-    return out;
-  }
-  return evaluate_delta_fast(base, move);  // copies out of the thread slot
-}
-
-CostEvaluator::Evaluation CostEvaluator::evaluate_system(const SystemConfig& config) {
-  if (model_.single_cluster() && config.cluster_count() == 1 && !focused() &&
-      config.clusters[0].kind == ClusterBackendKind::FlexRay) {
-    // Degenerate case: exactly the pre-cluster pipeline (and its cache).
-    // Single-cluster TSN systems go through the system path — the TSN
-    // analysis has no BusLayout to speak of.
-    return evaluate(config.clusters[0].flexray);
-  }
-  return evaluate_system_impl(config, /*count_as_delta=*/false);
-}
-
-CostEvaluator::Evaluation CostEvaluator::evaluate_delta(const SystemConfig& base,
-                                                        const DeltaMove& move) {
-  if (model_.single_cluster() && base.cluster_count() == 1 && !focused() &&
-      base.clusters[0].kind == ClusterBackendKind::FlexRay &&
-      move.backend == ClusterBackendKind::FlexRay) {
-    return evaluate_delta(base.clusters[0].flexray, move);
-  }
-  if (move.cluster < 0 || static_cast<std::size_t>(move.cluster) >= base.cluster_count() ||
-      base.cluster_count() != model_.cluster_count()) {
-    Evaluation out;
-    out.error = "evaluate_delta: move cluster index or base config out of range";
-    return out;
-  }
-  if (base.clusters[static_cast<std::size_t>(move.cluster)].kind != move.backend) {
-    Evaluation out;
-    out.error = "evaluate_delta: move backend does not match the cluster's backend";
-    return out;
-  }
-  SystemConfig next = base;
-  next.clusters[static_cast<std::size_t>(move.cluster)] =
-      move.backend == ClusterBackendKind::Tsn ? ClusterConfig::tsn_switch(move.tsn)
-                                              : ClusterConfig::flexray_bus(move.config);
-  return evaluate_system_impl(next, /*count_as_delta=*/true);
-}
-
-CostEvaluator::Evaluation CostEvaluator::evaluate_system_impl(const SystemConfig& config,
-                                                              bool count_as_delta,
-                                                              bool focused_result) {
-  if (!evaluator_options_.cache_enabled) {
-    Evaluation out = analyze_system_config(config, count_as_delta);
-    return focused_result ? focused_view(out) : out;
-  }
-  if (const auto hit = cached_system(config)) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    return focused_result ? focused_view(*hit) : *hit;
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  auto entry =
-      std::make_shared<const Evaluation>(analyze_system_config(config, count_as_delta));
-  insert_system_cache(config, entry);
-  return focused_result ? focused_view(*entry) : *entry;
 }
 
 CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfig& config,
-                                                               bool count_as_delta) {
+                                                               bool delta) {
   Evaluation out;
   auto layouts = build_system_layouts(model_, params_, config);
   if (!layouts.ok()) {
@@ -533,8 +409,7 @@ CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfi
   AnalysisWorkCounters counters;
   auto analysis = analyze_multicluster(model_, layouts.value(), options_, MulticlusterOptions{},
                                        cluster_caches_, &counters);
-  add_work(counters);
-  count_evaluation(count_as_delta);
+  count_evaluation(slot(), counters, delta);
   if (!analysis.ok()) {
     out.error = analysis.error().message;
     return out;
@@ -546,12 +421,12 @@ CostEvaluator::Evaluation CostEvaluator::analyze_system_config(const SystemConfi
   out.cluster_analysis = std::move(result.clusters);
 
 #ifndef NDEBUG
-  // Debug builds cross-check delta evaluations against a cache-free run of
-  // the same fixed point, bit for bit — the multi-cluster analogue of the
-  // single-cluster delta assertion.  Like there, the full path is not
-  // re-verified per call (it IS the reference construction), which keeps
-  // the sanitize lane's multicluster cost at ~2x instead of ~4x.
-  if (!count_as_delta) return out;
+  // Debug builds cross-check every move against a cache-free run of the
+  // same fixed point, bit for bit — the multi-cluster analogue of the
+  // single-cluster assertion.  Full evaluations are not re-verified (they
+  // are the reference construction), which keeps the sanitize lane's
+  // multicluster cost at ~2x instead of ~4x.
+  if (!delta) return out;
   auto reference = analyze_multicluster(model_, layouts.value(), options_);
   assert(reference.ok());
   if (reference.ok()) {
@@ -593,8 +468,8 @@ void CostEvaluator::ensure_pool() {
 
 void CostEvaluator::drain(Batch& batch) {
   for (std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-       i < batch.configs.size(); i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
-    (*batch.out)[i] = evaluate(batch.configs[i]);
+       i < batch.moves.size(); i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
+    evaluate_move(*batch.base, batch.moves[i], slot(), (*batch.out)[i], /*batch=*/true);
   }
 }
 
@@ -621,20 +496,19 @@ void CostEvaluator::pool_worker() {
   }
 }
 
-std::vector<CostEvaluator::Evaluation> CostEvaluator::evaluate_many(
-    std::span<const BusConfig> configs) {
-  std::vector<Evaluation> out(configs.size());
-  if (configs.empty()) return out;
-
-  if (worker_threads() <= 1 || configs.size() <= 1) {
-    for (std::size_t i = 0; i < configs.size(); ++i) out[i] = evaluate(configs[i]);
+std::vector<CostEvaluator::Evaluation> CostEvaluator::evaluate(
+    const SystemConfig& base, std::span<const DeltaMove> moves) {
+  std::vector<Evaluation> out(moves.size());
+  Batch batch;
+  batch.base = &base;
+  batch.moves = moves;
+  batch.out = &out;
+  if (worker_threads() <= 1 || moves.size() <= 1) {
+    drain(batch);
     return out;
   }
 
   ensure_pool();
-  Batch batch;
-  batch.configs = configs;
-  batch.out = &out;
   {
     std::lock_guard<std::mutex> lock(pool_mutex_);
     batch_ = &batch;
@@ -677,10 +551,7 @@ void CostEvaluator::clear_cache() {
     cache_.clear();
     system_cache_.clear();
   }
-  components_.clear();
-  for (const auto& cache : extra_components_) {
-    if (cache) cache->clear();
-  }
+  for (const auto& cache : components_) cache->clear();
 }
 
 }  // namespace flexopt

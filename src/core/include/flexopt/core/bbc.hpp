@@ -23,11 +23,15 @@ struct BbcOptions {
 
 /// Runs BBC.  The outcome carries the best configuration found over the
 /// sweep (feasible == cost.schedulable; BBC frequently ends infeasible on
-/// larger systems, which is exactly the Fig. 9 result).  Candidate DYN
-/// lengths are evaluated in parallel batches on the evaluator's worker
-/// pool; `control` (optional) enforces the SolveRequest budgets between
-/// batches.  Front-ends drive this through the OptimizerRegistry ("bbc").
-OptimizationOutcome optimize_bbc(CostEvaluator& evaluator, const BbcOptions& options = {},
+/// larger systems, which is exactly the Fig. 9 result).  The bus searched
+/// is cluster `cluster` of `system`: every candidate is scored as a move
+/// substituted into `system` (a one-cluster config and cluster 0 for a
+/// single-bus system).  Candidate DYN lengths are evaluated in batches on
+/// the evaluator's worker pool; `control` (optional) enforces the
+/// SolveRequest budgets between batches.  Front-ends drive this through
+/// the OptimizerRegistry ("bbc").
+OptimizationOutcome optimize_bbc(CostEvaluator& evaluator, const SystemConfig& system,
+                                 int cluster, const BbcOptions& options = {},
                                  SolveControl* control = nullptr);
 
 }  // namespace flexopt

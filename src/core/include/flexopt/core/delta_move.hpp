@@ -1,14 +1,15 @@
 #pragma once
 
 /// \file delta_move.hpp
-/// One neighbour mutation of a configuration.  Optimisers that walk the
-/// configuration space one move at a time (SA's neighbour loop, the OBC
-/// DYN-length sweeps, the TSN descent) hand the evaluator a DeltaMove
-/// instead of an opaque BusConfig.  A FlexRay move is analysed on the
-/// evaluator's allocation-free delta path: the thread's reused arena plus
-/// the component caches, which serve every schedule table the move left
-/// intact.  The analysis itself always starts from scratch, so the result
-/// does not depend on the base the move was derived from.
+/// One neighbour mutation of a configuration: the post-move configuration
+/// of one cluster, stamped with that cluster's index.  Optimisers hand the
+/// evaluator a DeltaMove together with the incumbent SystemConfig it is a
+/// neighbour of (CostEvaluator::evaluate(base, move)); the evaluator
+/// substitutes the move into `base` and picks the analysis path.  The
+/// analysis always starts from scratch, so the result depends only on the
+/// substituted configuration, never on how the move was derived.
+
+#include <utility>
 
 #include "flexopt/flexray/bus_config.hpp"
 #include "flexopt/model/cluster_backend.hpp"
@@ -16,13 +17,11 @@
 namespace flexopt {
 
 /// The neighbour configuration of one cluster.  Build one with
-/// DeltaMove::between (FlexRay) or DeltaMove::tsn_between (TSN).
+/// DeltaMove::flexray or DeltaMove::tsn_between.
 struct DeltaMove {
-  /// Which backend's configuration the move mutates.  FlexRay moves carry
-  /// `config` and feed the arena analysis path; TSN moves carry `tsn` and
-  /// are evaluated by full per-cluster re-analysis (substituted through
-  /// CostEvaluator::evaluate_delta's system path, which Debug-asserts
-  /// bit-exactness against the cache-free reference).
+  /// Which backend's configuration the move replaces.  FlexRay moves carry
+  /// `config`; TSN moves carry `tsn`.  It must match the backend of the
+  /// cluster it is substituted into.
   ClusterBackendKind backend = ClusterBackendKind::FlexRay;
 
   /// The post-move configuration (of one cluster's bus).
@@ -33,15 +32,17 @@ struct DeltaMove {
   /// True when the TSN payload differs from its base (tsn_between's diff).
   bool tsn_changed = false;
 
-  /// Cluster whose config the move mutates.  0 for single-bus systems;
-  /// ignored (superseded by the focus cluster) when the evaluator is
-  /// focused via CostEvaluator::set_focus.  between() leaves it 0 — cluster
-  /// moves stamp it explicitly or are stamped by the evaluator.
+  /// Cluster whose config the move replaces in the evaluator's base
+  /// SystemConfig; 0 for single-cluster systems.
   int cluster = 0;
 
-  /// The FlexRay move from `base` to `next`.  The analysis does not read
-  /// the base; the parameter keeps the call shape of every move site.
-  [[nodiscard]] static DeltaMove between(const BusConfig& base, BusConfig next);
+  /// The FlexRay move to `next` on cluster `cluster`.
+  [[nodiscard]] static DeltaMove flexray(BusConfig next, int cluster = 0);
+
+  /// Forwarder kept for the benchmark harness: flexray(next), base unread.
+  [[nodiscard]] static DeltaMove between(const BusConfig& /*base*/, BusConfig next) {
+    return flexray(std::move(next));
+  }
 
   /// Diffs a TSN neighbour against its base for cluster `cluster`.
   [[nodiscard]] static DeltaMove tsn_between(const TsnConfig& base, TsnConfig next, int cluster);

@@ -29,17 +29,17 @@ struct DynSearchResult {
 
 /// Interface: search [dyn_min, dyn_max] (minislots) for the best DYN length
 /// for `base` (a BusConfig with the ST segment and FrameIDs already fixed;
-/// minislot_count is overwritten by the search).  `control` (nullable)
-/// enforces SolveRequest budgets at the strategy's cancellation points.
-/// `warm_base` (nullable) is a configuration the evaluator has already
-/// analysed — typically the previous ST point of the OBC outer loop — that
-/// delta-capable strategies use as the base of their first DeltaMove.
+/// minislot_count is overwritten by the search), the bus of cluster
+/// `cluster` of `system`: every candidate is scored as a move substituted
+/// into `system` (a one-cluster config and cluster 0 for a single-bus
+/// system).  `control` (nullable) enforces SolveRequest budgets at the
+/// strategy's cancellation points.
 class DynSegmentStrategy {
  public:
   virtual ~DynSegmentStrategy() = default;
-  virtual DynSearchResult search(CostEvaluator& evaluator, const BusConfig& base, int dyn_min,
-                                 int dyn_max, SolveControl* control = nullptr,
-                                 const BusConfig* warm_base = nullptr) = 0;
+  virtual DynSearchResult search(CostEvaluator& evaluator, const SystemConfig& system,
+                                 int cluster, const BusConfig& base, int dyn_min, int dyn_max,
+                                 SolveControl* control = nullptr) = 0;
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
@@ -49,17 +49,16 @@ struct ExhaustiveDynOptions {
   int max_sweep_points = 96;
 };
 
-/// Full analysis at every candidate length (OBC-EE).  Candidates are fanned
-/// across the evaluator's worker pool in batches; an evaluator without a
-/// pool sweeps sequentially through CostEvaluator::evaluate_delta instead.
-/// Results are identical either way (in-order, strictly-better
-/// comparisons).
+/// Full analysis at every candidate length (OBC-EE).  Candidates are
+/// batches of moves fanned across the evaluator's worker pool (serial with
+/// one worker); in-order, strictly-better comparisons make the result and
+/// every counter identical at any pool size.
 class ExhaustiveDynSearch final : public DynSegmentStrategy {
  public:
   explicit ExhaustiveDynSearch(ExhaustiveDynOptions options = {}) : options_(options) {}
-  DynSearchResult search(CostEvaluator& evaluator, const BusConfig& base, int dyn_min,
-                         int dyn_max, SolveControl* control = nullptr,
-                         const BusConfig* warm_base = nullptr) override;
+  DynSearchResult search(CostEvaluator& evaluator, const SystemConfig& system, int cluster,
+                         const BusConfig& base, int dyn_min, int dyn_max,
+                         SolveControl* control = nullptr) override;
   [[nodiscard]] const char* name() const override { return "exhaustive"; }
 
  private:
@@ -80,13 +79,19 @@ struct CurveFitDynOptions {
 /// Curve-fit search (OBC-CF).  The candidate grid's interpolated values
 /// and costs live in one table per search, updated incrementally as the
 /// set of analysed points grows; its buffers are reused across searches,
-/// so one instance must not run two searches at once.
+/// so one instance must not run two searches at once.  Fig. 8's points are
+/// analysed one at a time through the single-move form.
 class CurveFitDynSearch final : public DynSegmentStrategy {
  public:
   explicit CurveFitDynSearch(CurveFitDynOptions options = {}) : options_(options) {}
+  DynSearchResult search(CostEvaluator& evaluator, const SystemConfig& system, int cluster,
+                         const BusConfig& base, int dyn_min, int dyn_max,
+                         SolveControl* control = nullptr) override;
+  /// Forwarder kept for the benchmark harness: a single-bus search.
   DynSearchResult search(CostEvaluator& evaluator, const BusConfig& base, int dyn_min,
-                         int dyn_max, SolveControl* control = nullptr,
-                         const BusConfig* warm_base = nullptr) override;
+                         int dyn_max) {
+    return search(evaluator, SystemConfig::single(base), 0, base, dyn_min, dyn_max);
+  }
   [[nodiscard]] const char* name() const override { return "curve-fit"; }
 
  private:

@@ -7,17 +7,28 @@
 /// can report work done.
 ///
 /// The evaluator is a thread-safe service: it owns the Application by
-/// shared_ptr (evaluations stay valid after the caller's copy goes away),
-/// `evaluate()` may be called concurrently from any number of threads, and
-/// `evaluate_many()` fans a batch of candidates across a worker pool.
+/// shared_ptr (evaluations stay valid after the caller's copy goes away)
+/// and every `evaluate` form may be called concurrently from any number of
+/// threads.  It has three call forms:
 ///
-/// Every entry point runs the same holistic fixed point
+///   evaluate(config)          full evaluation of a SystemConfig (cached)
+///   evaluate(base, move)      one neighbour: `move` substituted into cluster
+///                             `move.cluster` of `base`; returns a view into
+///                             the calling thread's slot
+///   evaluate(base, moves)     a batch of neighbours, fanned across the
+///                             worker pool; results in input order
+///
+/// Every form runs the same holistic fixed point
 /// (analyze_system_incremental_into) against the evaluator's per-cluster
 /// component caches, so a configuration's result does not depend on which
-/// path analysed it first.  The full path (evaluate, evaluate_system) runs
-/// it through analyze_system with a one-shot arena; the delta path
-/// (evaluate_delta_fast) runs it in the calling thread's reused arena,
-/// allocation-free at steady state.
+/// form or path analysed it first.  Which path runs is the evaluator's
+/// choice: a single-cluster FlexRay move is analysed in the calling
+/// thread's reused arena (allocation-free at steady state); exact-mode
+/// moves take the cached full path, whose component cache replays explored
+/// DYN frontiers; multi-cluster and TSN configurations take the system path
+/// (cross-cluster fixed point).  An analysis is counted as a full or a
+/// delta evaluation by its call form — configuration or move — never by
+/// the path or the thread count.
 
 #include <atomic>
 #include <condition_variable>
@@ -56,7 +67,7 @@ inline constexpr double kInvalidConfigCost = 1e15;
 
 /// Behaviour knobs of the evaluation service (cache + worker pool).
 struct EvaluatorOptions {
-  /// Memoize BusConfig -> Evaluation.  Optimisers that revisit
+  /// Memoize configuration -> Evaluation.  Optimisers that revisit
   /// configurations (SA, nested OBC loops) pay one analysis per distinct
   /// candidate instead of one per visit.
   bool cache_enabled = true;
@@ -64,7 +75,7 @@ struct EvaluatorOptions {
   /// configurations of a run are cached early; this bounds memory on
   /// multi-hour SA runs).
   std::size_t max_cache_entries = 1u << 16;
-  /// Worker threads for evaluate_many(); 0 = hardware concurrency.
+  /// Worker threads of the batch form's pool; 0 = hardware concurrency.
   int threads = 0;
 };
 
@@ -80,10 +91,13 @@ struct EvaluatorCacheStats {
 /// metric.
 struct EvaluatorWorkStats {
   AnalysisWorkCounters analysis;
-  std::uint64_t full_evaluations = 0;   ///< evaluate() analyses (cache misses)
-  std::uint64_t delta_evaluations = 0;  ///< evaluate_delta() analyses
-  std::uint64_t arena_binds = 0;        ///< analysis arenas (re)allocated
-  std::uint64_t arena_reuses = 0;       ///< steady-state arena rebinds (no allocation)
+  std::uint64_t full_evaluations = 0;   ///< evaluate(config) analyses (cache misses)
+  std::uint64_t delta_evaluations = 0;  ///< evaluate(base, move) analyses, single or batch
+  /// Thread-slot arenas (re)allocated / rebound without allocation by the
+  /// single-move form (the batch form's arenas are not counted: which
+  /// thread ran a candidate is scheduling).
+  std::uint64_t arena_binds = 0;
+  std::uint64_t arena_reuses = 0;
   /// Response-time recurrences actually recomputed per delta evaluation
   /// (fps_analyses + dyn_analyses + schedule_builds of that evaluation) —
   /// the work-per-move distribution the profile report surfaces.
@@ -128,10 +142,10 @@ class CostEvaluator {
   /// cluster; all clusters share `params`).
   CostEvaluator(SystemModel model, const BusParams& params, AnalysisOptions options,
                 EvaluatorOptions evaluator_options = {});
-  /// Sibling evaluator: shares `parent`'s system model, bus parameters,
-  /// analysis options, and focus context, with fresh caches/counters and
-  /// its own EvaluatorOptions.  The portfolio optimizer gives every racing
-  /// member one of these so member trajectories stay schedule-independent.
+  /// Sibling evaluator: shares `parent`'s system model, bus parameters and
+  /// analysis options, with fresh caches/counters and its own
+  /// EvaluatorOptions.  The portfolio optimizer gives every racing member
+  /// one of these so member trajectories stay schedule-independent.
   CostEvaluator(const CostEvaluator& parent, EvaluatorOptions evaluator_options);
   ~CostEvaluator();
   CostEvaluator(const CostEvaluator&) = delete;
@@ -140,99 +154,62 @@ class CostEvaluator {
   struct Evaluation {
     bool valid = false;
     Cost cost{kInvalidConfigCost, false, 0};
-    /// Single-cluster analyses, or — under set_focus — the focused
-    /// cluster's holistic result; default-constructed for unfocused
-    /// multi-cluster evaluations (use `cluster_analysis` there).
+    /// The holistic result of a single-bus evaluation (single-cluster
+    /// FlexRay systems), or — for a move — of the move's cluster.
     AnalysisResult analysis;
-    /// Unfocused multi-cluster evaluations only: one holistic result per
-    /// cluster.  Focused returns carry only `cost` plus the focused
-    /// cluster's result in `analysis` (this vector stays empty).
+    /// Full evaluations of multi-cluster (or TSN) systems only: one
+    /// holistic result per cluster.  Move results leave it empty and carry
+    /// the moved cluster's result in `analysis` instead.
     std::vector<AnalysisResult> cluster_analysis;
     /// Multi-cluster evaluations only: cross-cluster fixed point converged.
     bool multicluster_converged = true;
     std::string error;
   };
 
-  /// Full scheduling + schedulability analysis of one candidate (served
-  /// from the cache when the configuration was seen before).  Thread-safe.
-  /// Single-cluster systems evaluate `config` directly; under set_focus the
-  /// candidate is substituted into the focus context's focused cluster and
-  /// the full system is evaluated.  A multi-cluster evaluator without a
-  /// focus reports an invalid Evaluation (use evaluate_system).
-  Evaluation evaluate(const BusConfig& config);
+  /// Full scheduling + schedulability analysis of one per-cluster
+  /// configuration product (served from the cache when the configuration
+  /// was seen before).  A single-cluster FlexRay system fills `analysis`;
+  /// every other system runs the cross-cluster fixed point and fills
+  /// `cluster_analysis`.  Counted as a full evaluation.
+  Evaluation evaluate(const SystemConfig& config);
 
-  /// Full system evaluation of one per-cluster configuration product
-  /// candidate (cross-cluster fixed point; cached on the SystemConfig
-  /// hash).  Thread-safe.  For single-cluster FlexRay systems this is
-  /// exactly evaluate(config.clusters[0].flexray).
-  Evaluation evaluate_system(const SystemConfig& config);
+  /// One neighbour: `move` replaces cluster `move.cluster` of `base` and
+  /// the substituted system is evaluated.  For a single-cluster system the
+  /// move replaces the whole configuration and `base` is not read.  The
+  /// result is bit-identical to evaluate(substituted) — asserted in Debug
+  /// builds — and is entered into the same cache.  The returned reference
+  /// points into the calling thread's slot and stays valid until this
+  /// thread's next call on this evaluator; copy it to keep it.  A
+  /// single-cluster FlexRay move (holistic mode, memo cache disabled)
+  /// performs zero heap allocations at steady state.  Counted as a delta
+  /// evaluation.
+  const Evaluation& evaluate(const SystemConfig& base, const DeltaMove& move);
 
-  /// Analysis of a neighbour on the delta path: evaluates `move.config` in
-  /// this thread's reused arena, serving every schedule table the move
-  /// left intact from the component cache.  `base` is not analysed.  The
-  /// result is bit-identical to evaluate(move.config) — asserted against a
-  /// cold analyze_system in Debug builds — and is entered into the same
-  /// configuration cache.  Thread-safe.
-  Evaluation evaluate_delta(const BusConfig& base, const DeltaMove& move);
+  /// A batch of neighbours of one `base`, fanned across the worker pool
+  /// (serial when there is one worker; the pool's threads are spawned on
+  /// the first batch and reused, so small per-batch sweeps stay cheap).  Results are in input order and
+  /// equal to calling evaluate(base, move) per move, bit for bit.  Each
+  /// candidate is analysed in the claiming thread's batch arena, whose
+  /// binds are not reported, so every reported counter is independent of
+  /// the pool size.
+  std::vector<Evaluation> evaluate(const SystemConfig& base,
+                                   std::span<const DeltaMove> moves);
 
-  /// Allocation-free evaluate_delta: the single-cluster delta-analysis hot
-  /// path run entirely in this thread's preallocated slot (arena, layout,
-  /// result).  Semantics and results are identical to evaluate_delta; the
-  /// returned reference points into thread-local storage and is valid until
-  /// the next evaluator call on the same thread — copy it to keep it.  At
-  /// steady state (same application, memo cache disabled) a call performs
-  /// zero heap allocations; with the memo cache enabled, cache insertion
-  /// still allocates on a miss.  Focused / multi-cluster evaluators fall
-  /// back to the allocating evaluate_delta path internally.
-  const Evaluation& evaluate_delta_fast(const BusConfig& base, const DeltaMove& move);
-
-  /// Same, with the base given as an Evaluation — the form SA's accept loop
-  /// and the delta benchmark use.  `base_eval` is not read; passing the
-  /// reference returned by a previous evaluate_delta_fast on this thread is
-  /// allowed.
-  const Evaluation& evaluate_delta_fast(const Evaluation& base_eval, const DeltaMove& move);
-
-  /// Multi-cluster delta: `move.cluster` names the cluster whose BusConfig
-  /// the move replaces within `base`.  The substituted system is analysed
-  /// through the per-cluster component caches (geometry components of
-  /// untouched clusters are reused) and is bit-identical to
-  /// evaluate_system(substituted) — asserted in Debug builds.
-  Evaluation evaluate_delta(const SystemConfig& base, const DeltaMove& move);
-
-  /// Evaluates a batch of candidates on the worker pool; results are in
-  /// input order and identical to calling evaluate() serially.  The pool
-  /// is persistent: threads are spawned lazily on the first batch and
-  /// reused across calls, so small per-batch sweeps stay cheap.
-  std::vector<Evaluation> evaluate_many(std::span<const BusConfig> configs);
-
-  /// The application the current search runs over: the focused cluster's
-  /// projection when a focus is set, the (global) application otherwise.
-  /// Single-cluster systems always see the one application.
-  [[nodiscard]] const Application& application() const { return *search_app(); }
-  [[nodiscard]] const std::shared_ptr<const Application>& application_ptr() const {
-    return search_app();
+  // ---- forwarders kept for the benchmark harness (perfbench/) -------------
+  // Single-cluster evaluators only; nothing else in the tree calls them.
+  Evaluation evaluate(const BusConfig& config) {
+    return evaluate(SystemConfig::single(config));
+  }
+  Evaluation evaluate_system(const SystemConfig& config) { return evaluate(config); }
+  const Evaluation& evaluate_delta_fast(const Evaluation& /*base*/, const DeltaMove& move) {
+    return evaluate(SystemConfig{}, move);
   }
 
-  // ---- multi-cluster search context ---------------------------------------
+  /// The system searched: global() is the whole application (the single
+  /// cluster's for single-cluster systems), cluster_app(c) each cluster's
+  /// projection.
   [[nodiscard]] const SystemModel& system_model() const { return model_; }
   [[nodiscard]] std::size_t cluster_count() const { return model_.cluster_count(); }
-  /// Focuses the evaluator on one cluster of a multi-cluster system:
-  /// subsequent evaluate(BusConfig)/evaluate_delta calls substitute the
-  /// candidate into `context` at `cluster` and evaluate the full system,
-  /// and application() returns that cluster's projection — which is what
-  /// lets every single-bus search algorithm optimise one coordinate of the
-  /// per-cluster configuration product unchanged.  Focus is a FlexRay
-  /// concept — the focused cluster's ClusterConfig must be a FlexRay bus
-  /// (TSN clusters are searched through the SystemConfig overloads; see
-  /// flexopt/core/tsn_search.hpp).  Invalid requests (single-cluster
-  /// system, cluster out of range, wrong context width, non-FlexRay
-  /// cluster) degrade to clear_focus().  Not thread-safe: set it between
-  /// solves, never while evaluations are in flight.
-  void set_focus(SystemConfig context, int cluster);
-  void clear_focus();
-  [[nodiscard]] bool focused() const { return focus_cluster_ >= 0; }
-  [[nodiscard]] int focus_cluster() const { return focus_cluster_; }
-  [[nodiscard]] const SystemConfig& focus_context() const { return focus_context_; }
 
   [[nodiscard]] const BusParams& params() const { return params_; }
   [[nodiscard]] const AnalysisOptions& analysis_options() const { return options_; }
@@ -246,7 +223,7 @@ class CostEvaluator {
     return evaluations_.load(std::memory_order_relaxed);
   }
 
-  /// Worker threads evaluate_many() will use (EvaluatorOptions::threads
+  /// Worker threads the batch form will use (EvaluatorOptions::threads
   /// resolved against hardware concurrency); >= 1.
   [[nodiscard]] int worker_threads() const;
 
@@ -256,37 +233,37 @@ class CostEvaluator {
 
  private:
   /// Per-thread evaluation state: the analysis arena, a reusable BusLayout,
-  /// the Evaluation evaluate_delta_fast returns by reference, and this
-  /// thread's share of the work statistics.  One slot per (evaluator,
-  /// thread) pair, owned by the evaluator, found through a thread-local
-  /// cache keyed by the evaluator's id — replacing the old mutex-guarded
-  /// global work counter, whose lock the worker pool contended on.
+  /// the Evaluation the single-move form returns by reference, a scratch
+  /// SystemConfig for substituting moves, and this thread's share of the
+  /// work statistics.  One slot per (evaluator, thread) pair, owned by the
+  /// evaluator, found through a thread-local cache keyed by the
+  /// evaluator's id.
   struct ThreadSlot;
   ThreadSlot& slot();
 
-  /// The uncached path: in-place layout assign + analyze_system + Eq. 5.
-  Evaluation analyze(const BusConfig& config);
-  /// The delta hot path shared by evaluate_delta and evaluate_delta_fast:
-  /// memo-cache check, in-place layout assign, analysis in the slot's
-  /// arena into the slot's Evaluation.
-  const Evaluation& delta_fast_impl(const DeltaMove& move);
-  /// The uncached multi-cluster paths (full + delta-accounted).
-  Evaluation analyze_system_config(const SystemConfig& config, bool count_as_delta);
-  Evaluation evaluate_system_impl(const SystemConfig& config, bool count_as_delta,
-                                  bool focused_result = false);
-  /// Cost + the focused cluster's result only (the focused-search return
-  /// shape; avoids copying every cluster's analysis out of the cache).
-  [[nodiscard]] Evaluation focused_view(const Evaluation& full) const;
+  /// Evaluates `move` against `base` into `out` (see the single-move
+  /// form).  `batch` selects the slot's batch arena for single-cluster
+  /// FlexRay moves.
+  void evaluate_move(const SystemConfig& base, const DeltaMove& move, ThreadSlot& s,
+                     Evaluation& out, bool batch);
+  /// The allocation-free single-cluster move: memo-cache check, in-place
+  /// layout assign, analysis in one of the slot's arenas into `out`.
+  void analyze_in_arena(const BusConfig& config, ThreadSlot& s, AnalysisArena& arena,
+                        Evaluation& out);
+  /// Cached single-cluster FlexRay evaluation (one-shot arena on a miss).
+  std::shared_ptr<const Evaluation> bus_entry(const BusConfig& config, bool delta);
+  /// Cached system evaluation (cross-cluster fixed point on a miss).
+  std::shared_ptr<const Evaluation> system_entry(const SystemConfig& config, bool delta);
+  /// The uncached paths behind bus_entry / system_entry.
+  Evaluation analyze(const BusConfig& config, bool delta);
+  Evaluation analyze_system_config(const SystemConfig& config, bool delta);
+  /// Charges one analysis to the calling thread's slot `s`.
+  void count_evaluation(ThreadSlot& s, const AnalysisWorkCounters& counters, bool delta);
   /// Cache lookup only (no analysis on miss); nullptr when absent.
   std::shared_ptr<const Evaluation> cached(const BusConfig& config);
   void insert_cache(const BusConfig& config, std::shared_ptr<const Evaluation> entry);
   std::shared_ptr<const Evaluation> cached_system(const SystemConfig& config);
   void insert_system_cache(const SystemConfig& config, std::shared_ptr<const Evaluation> entry);
-  void add_work(const AnalysisWorkCounters& counters);
-  void count_evaluation(bool delta);
-  [[nodiscard]] const std::shared_ptr<const Application>& search_app() const {
-    return focused() ? model_.cluster_app(static_cast<std::size_t>(focus_cluster_)) : app_;
-  }
 
   struct ConfigHash {
     std::size_t operator()(const BusConfig& config) const { return hash_config(config); }
@@ -297,11 +274,12 @@ class CostEvaluator {
     }
   };
 
-  /// One evaluate_many call in flight: workers claim indices via `next`;
-  /// `active` counts workers currently inside the batch so the caller can
-  /// destroy it only after everyone has checked out.
+  /// One batch in flight: workers claim indices via `next`; `active`
+  /// counts workers currently inside the batch so the caller can destroy
+  /// it only after everyone has checked out.
   struct Batch {
-    std::span<const BusConfig> configs;
+    const SystemConfig* base = nullptr;
+    std::span<const DeltaMove> moves;
     std::vector<Evaluation>* out = nullptr;
     std::atomic<std::size_t> next{0};
     int active = 0;  // guarded by pool_mutex_
@@ -316,25 +294,22 @@ class CostEvaluator {
   BusParams params_;
   AnalysisOptions options_;
   EvaluatorOptions evaluator_options_;
-  /// Multi-cluster search context (see set_focus); -1 = unfocused.
-  SystemConfig focus_context_;
-  int focus_cluster_ = -1;
+  /// Single-cluster FlexRay system: configurations are cached and analysed
+  /// as one BusConfig (the bus path); everything else takes the system path.
+  bool bus_path_ = false;
   std::atomic<long> evaluations_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
   mutable std::mutex cache_mutex_;
-  /// Single-cluster configurations (the pre-cluster hot path, untouched).
+  /// Single-cluster FlexRay configurations (the bus path).
   std::unordered_map<BusConfig, std::shared_ptr<const Evaluation>, ConfigHash> cache_;
-  /// Full per-cluster configuration products (multi-cluster systems).
+  /// Full per-cluster configuration products (the system path).
   std::unordered_map<SystemConfig, std::shared_ptr<const Evaluation>, SystemConfigHash>
       system_cache_;
 
-  AnalysisComponentCache components_;  ///< cluster 0 / single-cluster
-  /// Clusters 1..C-1 of a multi-cluster system (index 0 unused; the shared
-  /// components_ serves cluster 0 so the single-cluster path stays as-is).
-  std::vector<std::unique_ptr<AnalysisComponentCache>> extra_components_;
-  /// Per-cluster cache pointer table ({&components_, extra...}), built once
-  /// at construction (the evaluator is immovable, so the addresses hold).
+  /// One component cache per cluster, built once at construction (the
+  /// evaluator is immovable, so the pointer table's addresses hold).
+  std::vector<std::unique_ptr<AnalysisComponentCache>> components_;
   std::vector<AnalysisComponentCache*> cluster_caches_;
   /// Monotonic id keying the thread-local slot cache: ids are never reused,
   /// so a stale cache entry for a destroyed evaluator can never match.

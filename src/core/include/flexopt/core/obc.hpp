@@ -28,11 +28,14 @@ struct ObcOptions {
   bool criticality_frame_ids = true;
 };
 
-/// Runs the OBC heuristic with the given DYN-length strategy.  `control`
-/// (optional) enforces SolveRequest budgets at the ST-exploration loop and
-/// inside the DYN search.  Front-ends drive this through the
-/// OptimizerRegistry ("obc-ee" / "obc-cf").
-OptimizationOutcome optimize_obc(CostEvaluator& evaluator, DynSegmentStrategy& dyn_strategy,
+/// Runs the OBC heuristic with the given DYN-length strategy on cluster
+/// `cluster` of `system` (a one-cluster config and cluster 0 for a
+/// single-bus system; candidates are scored as moves substituted into
+/// `system`).  `control` (optional) enforces SolveRequest budgets at the
+/// ST-exploration loop and inside the DYN search.  Front-ends drive this
+/// through the OptimizerRegistry ("obc-ee" / "obc-cf").
+OptimizationOutcome optimize_obc(CostEvaluator& evaluator, const SystemConfig& system,
+                                 int cluster, DynSegmentStrategy& dyn_strategy,
                                  const ObcOptions& options = {},
                                  SolveControl* control = nullptr);
 

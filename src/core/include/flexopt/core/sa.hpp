@@ -41,10 +41,14 @@ bool random_neighbour_move(BusConfig& config, const Application& app, const BusP
                            Rng& rng, const std::vector<NodeId>& st_senders, int dyn_min,
                            int dyn_max);
 
-/// Runs simulated annealing.  `control` (optional) adds SolveRequest
-/// budgets / cancellation on top of the SaOptions evaluation budget.
-/// Front-ends drive this through the OptimizerRegistry ("sa").
-OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& options = {},
+/// Runs simulated annealing on cluster `cluster` of `system` (a
+/// one-cluster config and cluster 0 for a single-bus system; every
+/// neighbour is scored as a move substituted into `system`).  `control`
+/// (optional) adds SolveRequest budgets / cancellation on top of the
+/// SaOptions evaluation budget.  Front-ends drive this through the
+/// OptimizerRegistry ("sa").
+OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SystemConfig& system,
+                                int cluster, const SaOptions& options = {},
                                 SolveControl* control = nullptr);
 
 }  // namespace flexopt

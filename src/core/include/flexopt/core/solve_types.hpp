@@ -146,7 +146,7 @@ struct SolveReport {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// Incremental-evaluation accounting for this solve (deltas, not
-  /// totals): analyses served by evaluate_delta, and how many analysis
+  /// totals): analyses of moves (evaluate(base, move)), and how many analysis
   /// components (schedule builds + FPS/DYN recurrences) were recomputed
   /// vs reused from the component caches / skipped as unchanged.
   std::uint64_t delta_evaluations = 0;

@@ -53,21 +53,23 @@ using OptimizerParams = std::variant<std::monostate, BbcOptions, ObcEeParams, Ob
 /// across solves: one instance may serve any number of sequential solve()
 /// calls (on the same or different evaluators).
 ///
-/// Implementations override solve_cluster(), which optimises ONE bus: the
-/// single cluster of a plain system, or — under CostEvaluator::set_focus —
-/// one coordinate of a multi-cluster configuration product (the evaluator
-/// then scores every candidate against the full cross-cluster system).
+/// Implementations override solve_cluster(), which optimises ONE bus:
+/// FlexRay cluster `cluster` of the configuration product `system`.  Every
+/// candidate is scored as a DeltaMove substituted into `system`, so the
+/// evaluator prices it against the full cross-cluster system; a
+/// single-cluster solve passes a one-cluster `system` and cluster 0.
 /// Front-ends call solve(), which dispatches single-cluster systems
-/// straight to solve_cluster (bit-identical to the pre-cluster behaviour)
-/// and drives multi-cluster systems through a deterministic block-
-/// coordinate descent over the clusters.
+/// straight to solve_cluster and drives multi-cluster systems through a
+/// deterministic block-coordinate descent that hands each pass the
+/// incumbent configuration and the cluster it optimises.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
   /// Registry name ("bbc", "obc-ee", "obc-cf", "sa", ...).
   [[nodiscard]] virtual std::string_view name() const = 0;
-  /// Algorithm hook: optimise the evaluator's (single or focused) cluster.
-  virtual SolveReport solve_cluster(CostEvaluator& evaluator, const SolveRequest& request) = 0;
+  /// Algorithm hook: optimise cluster `cluster` of `system` (see above).
+  virtual SolveReport solve_cluster(CostEvaluator& evaluator, const SystemConfig& system,
+                                    int cluster, const SolveRequest& request) = 0;
   /// Unified entry point (see class comment).  Also guarantees
   /// outcome.system is filled for every solve.
   SolveReport solve(CostEvaluator& evaluator, const SolveRequest& request);

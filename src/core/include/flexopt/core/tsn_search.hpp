@@ -4,11 +4,11 @@
 /// Local search over one TSN cluster's decision variables (gate offsets,
 /// gate lengths, ET priorities) — the TSN counterpart of the single-bus
 /// algorithms that Optimizer's block-coordinate descent runs on FlexRay
-/// clusters.  TSN clusters cannot go through CostEvaluator::set_focus (the
-/// single-bus algorithms mutate BusConfigs), so the descent scores every
-/// neighbour through the SystemConfig evaluate_delta overload instead: each
-/// candidate is the incumbent with one cluster's TsnConfig substituted, and
-/// the full cross-cluster fixed point prices it.
+/// clusters.  The single-bus algorithms mutate BusConfigs, so TSN clusters
+/// get their own descent, which scores every neighbour as a TSN DeltaMove
+/// (CostEvaluator::evaluate(base, move)): each candidate is the incumbent
+/// with one cluster's TsnConfig substituted, and the full cross-cluster
+/// fixed point prices it.
 ///
 /// The search is a deterministic first-improvement coordinate descent: the
 /// neighbourhood is enumerated in a fixed order (gate offset slides, gate

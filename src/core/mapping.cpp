@@ -126,7 +126,8 @@ Expected<MappingOutcome> optimize_mapping(const LogicalApplication& logical,
     // one mapping candidate = one evaluator, no extra copy.
     CostEvaluator evaluator(std::make_shared<const Application>(std::move(app).value()),
                             params, analysis);
-    OptimizationOutcome bus = optimize_obc(evaluator, dyn_strategy);
+    OptimizationOutcome bus =
+        optimize_obc(evaluator, SystemConfig::single(BusConfig{}), 0, dyn_strategy);
     outcome.evaluations += bus.evaluations;
     return bus;
   };

@@ -55,13 +55,15 @@ class PortfolioOptimizer final : public Optimizer {
  public:
   explicit PortfolioOptimizer(PortfolioSpec spec) : spec_(std::move(spec)) {}
   [[nodiscard]] std::string_view name() const override { return "portfolio"; }
-  SolveReport solve_cluster(CostEvaluator& evaluator, const SolveRequest& request) override;
+  SolveReport solve_cluster(CostEvaluator& evaluator, const SystemConfig& system, int cluster,
+                            const SolveRequest& request) override;
 
  private:
   PortfolioSpec spec_;
 };
 
 SolveReport PortfolioOptimizer::solve_cluster(CostEvaluator& evaluator,
+                                              const SystemConfig& system, int cluster,
                                               const SolveRequest& request) {
   const auto started = std::chrono::steady_clock::now();
   const std::size_t n = spec_.members.size();
@@ -105,8 +107,8 @@ SolveReport PortfolioOptimizer::solve_cluster(CostEvaluator& evaluator,
     // Own single-threaded sibling evaluator: the member's evaluation
     // sequence (and its budget accounting) must not observe the other
     // members' work, or the trajectory would depend on scheduling.  The
-    // sibling shares the system model and any multi-cluster focus, so a
-    // focused portfolio races its members on the same coordinate.
+    // sibling shares the system model, and every member searches the same
+    // cluster of the same base configuration.
     EvaluatorOptions member_options = evaluator.evaluator_options();
     member_options.threads = 1;
     CostEvaluator member_eval(evaluator, member_options);
@@ -159,7 +161,7 @@ SolveReport PortfolioOptimizer::solve_cluster(CostEvaluator& evaluator,
     };
 
     SolveReport& solved = solves[static_cast<std::size_t>(i)];
-    solved = optimizer.value()->solve(member_eval, member_request);
+    solved = optimizer.value()->solve_cluster(member_eval, system, cluster, member_request);
     evals_seen[i].store(solved.outcome.evaluations, std::memory_order_relaxed);
     if (solved.outcome.cost.value < last_best) {
       // An improvement on the very last evaluation lands after the final

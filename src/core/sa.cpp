@@ -84,10 +84,10 @@ bool random_neighbour_move(BusConfig& config, const Application& app, const BusP
   }
 }
 
-OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& options,
-                                SolveControl* control) {
+OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SystemConfig& system,
+                                int cluster, const SaOptions& options, SolveControl* control) {
   const auto t0 = std::chrono::steady_clock::now();
-  const Application& app = evaluator.application();
+  const Application& app = *evaluator.system_model().cluster_app(static_cast<std::size_t>(cluster));
   const BusParams& params = evaluator.params();
   const long evals_before = evaluator.evaluations();
   Rng rng(options.seed);
@@ -109,7 +109,7 @@ OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& optio
   BbcOptions seed_options;
   seed_options.max_sweep_points =
       static_cast<int>(std::min<long>(16, std::max<long>(2, options.max_evaluations / 8)));
-  OptimizationOutcome seed = optimize_bbc(evaluator, seed_options, control);
+  OptimizationOutcome seed = optimize_bbc(evaluator, system, cluster, seed_options, control);
   {
     // A quick OBC-CF pass often lands in feasibility pockets the coarse BBC
     // sweep misses; starting the annealer there makes the budgeted SA a
@@ -118,7 +118,7 @@ OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& optio
     CurveFitDynOptions cf_options;
     cf_options.n_max = 5;
     CurveFitDynSearch cf(cf_options);
-    const OptimizationOutcome alt = optimize_obc(evaluator, cf, {}, control);
+    const OptimizationOutcome alt = optimize_obc(evaluator, system, cluster, cf, {}, control);
     if (alt.cost.value < seed.cost.value) seed = alt;
   }
   double current_cost = kInvalidConfigCost;
@@ -130,7 +130,8 @@ OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& optio
     outcome.feasible = seed.feasible;
   } else {
     current.minislot_count = bounds.min_minislots;
-    const auto eval = evaluator.evaluate(current);
+    const CostEvaluator::Evaluation& eval =
+        evaluator.evaluate(system, DeltaMove::flexray(current, cluster));
     if (eval.valid) {
       current_cost = eval.cost.value;
       outcome.config = current;
@@ -157,14 +158,13 @@ OptimizationOutcome optimize_sa(CostEvaluator& evaluator, const SaOptions& optio
       }
       if (!moved) continue;
 
-      // The delta path analyses the neighbour in this thread's reused arena
-      // and reuses every cached schedule table the move left intact
-      // (bit-identical to the full evaluation).  The fast form returns a
-      // reference into the evaluator's thread slot — valid here because
-      // nothing else evaluates on this thread before the next iteration
-      // overwrites it.
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
-      const CostEvaluator::Evaluation& eval = evaluator.evaluate_delta_fast(current, move);
+      // A single-bus move is analysed in this thread's reused arena,
+      // reusing every cached schedule table the move left intact
+      // (bit-identical to the full evaluation).  The result is a reference
+      // into the evaluator's thread slot — valid here because nothing else
+      // evaluates on this thread before the next iteration overwrites it.
+      DeltaMove move = DeltaMove::flexray(std::move(neighbour), cluster);
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate(system, move);
       const double cost = eval.valid ? eval.cost.value : kInvalidConfigCost;
       const double delta = cost - current_cost;
       if (delta <= 0.0 || rng.uniform_real(0.0, 1.0) < std::exp(-delta / temperature)) {

@@ -101,14 +101,15 @@ bool SolveControl::should_stop(const CostEvaluator& evaluator) {
 namespace {
 
 /// Deterministic block-coordinate descent over the per-cluster
-/// configuration product: each pass focuses the evaluator on one cluster
-/// and lets the single-bus algorithm optimise that coordinate against the
-/// full cross-cluster cost; a cluster's best config is accepted only when
-/// it strictly improves the system cost.  Rounds repeat until a full round
+/// configuration product: each pass hands the single-bus algorithm the
+/// incumbent and one cluster index, and the algorithm optimises that
+/// coordinate against the full cross-cluster cost; a cluster's best config
+/// is accepted only when it strictly improves the system cost.  Rounds repeat until a full round
 /// brings no improvement, the round cap is hit, or a budget/limit fires.
 /// Everything that feeds the result is a deterministic function of
 /// (system, algorithm, base seed) — worker threads inside a pass (portfolio
-/// members, evaluate_many) never change which configuration wins.
+/// members, the evaluator's batch pool) never change which configuration
+/// wins.
 SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
                                const SolveRequest& request) {
   constexpr int kMaxRounds = 3;
@@ -152,7 +153,7 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
     const long evals_before = evaluator.evaluations();
     const EvaluatorCacheStats cache_before = evaluator.cache_stats();
     const EvaluatorWorkStats work_before = evaluator.work_stats();
-    const auto initial = evaluator.evaluate_system(incumbent);
+    const auto initial = evaluator.evaluate(incumbent);
     const EvaluatorCacheStats cache_after = evaluator.cache_stats();
     add_parent_work(evaluator.work_stats().since(work_before));
     spent_evaluations += evaluator.evaluations() - evals_before;
@@ -215,10 +216,9 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
       pass_request.cancel = request.cancel;
 
       if (model.cluster_app(c)->cluster_backend(ClusterId{0}) == ClusterBackendKind::Tsn) {
-        // TSN coordinate: the single-bus algorithms cannot focus a TSN
-        // cluster, so the pass is the deterministic TSN descent, scored
-        // through the SystemConfig delta path against the same full
-        // cross-cluster cost.
+        // TSN coordinate: the single-bus algorithms search FlexRay buses,
+        // so the pass is the deterministic TSN descent, scored through
+        // TSN moves against the same full cross-cluster cost.
         const EvaluatorCacheStats cache_before = evaluator.cache_stats();
         const EvaluatorWorkStats work_before = evaluator.work_stats();
         TsnSearchResult tsn =
@@ -241,8 +241,8 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
         continue;
       }
 
-      evaluator.set_focus(incumbent, static_cast<int>(c));
-      SolveReport pass = algorithm.solve_cluster(evaluator, pass_request);
+      SolveReport pass =
+          algorithm.solve_cluster(evaluator, incumbent, static_cast<int>(c), pass_request);
       spent_evaluations += pass.outcome.evaluations;
       report.cache_hits += pass.cache_hits;
       report.cache_misses += pass.cache_misses;
@@ -276,10 +276,8 @@ SolveReport solve_multicluster(Optimizer& algorithm, CostEvaluator& evaluator,
         if (!pass.winner.empty()) report.winner = prefix + pass.winner;
       }
     }
-    evaluator.clear_focus();
     if (!improved && status == SolveStatus::Complete) break;  // coordinate-wise optimum
   }
-  evaluator.clear_focus();
   if (status == SolveStatus::Complete && total_budget > 0 && spent() >= total_budget) {
     status = SolveStatus::BudgetExhausted;
   }
@@ -330,25 +328,16 @@ SolveReport solve_single_tsn(CostEvaluator& evaluator, const SolveRequest& reque
 }  // namespace
 
 SolveReport Optimizer::solve(CostEvaluator& evaluator, const SolveRequest& request) {
-  const SystemModel& model = evaluator.system_model();
-  if (!evaluator.focused() && evaluator.cluster_count() == 1 && model.cluster_app(0) &&
-      model.cluster_app(0)->cluster_backend(ClusterId{0}) == ClusterBackendKind::Tsn) {
+  if (evaluator.cluster_count() > 1) return solve_multicluster(*this, evaluator, request);
+  if (evaluator.system_model().cluster_app(0)->cluster_backend(ClusterId{0}) ==
+      ClusterBackendKind::Tsn) {
     return solve_single_tsn(evaluator, request);
   }
-  if (evaluator.cluster_count() == 1 || evaluator.focused()) {
-    SolveReport report = solve_cluster(evaluator, request);
-    if (report.outcome.system.clusters.empty()) {
-      if (evaluator.focused()) {
-        report.outcome.system = evaluator.focus_context();
-        report.outcome.system.clusters[static_cast<std::size_t>(evaluator.focus_cluster())] =
-            ClusterConfig::flexray_bus(report.outcome.config);
-      } else {
-        report.outcome.system = SystemConfig::single(report.outcome.config);
-      }
-    }
-    return report;
+  SolveReport report = solve_cluster(evaluator, SystemConfig::single(BusConfig{}), 0, request);
+  if (report.outcome.system.clusters.empty()) {
+    report.outcome.system = SystemConfig::single(report.outcome.config);
   }
-  return solve_multicluster(*this, evaluator, request);
+  return report;
 }
 
 // ---- OptimizerRegistry -----------------------------------------------------

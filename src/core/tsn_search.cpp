@@ -91,7 +91,7 @@ TsnSearchResult tsn_coordinate_descent(CostEvaluator& evaluator, const SystemCon
   result.config = current.clusters[static_cast<std::size_t>(cluster)].tsn;
 
   SolveControl control(request, evaluator, "tsn-descent");
-  const auto base_eval = evaluator.evaluate_system(current);
+  const auto base_eval = evaluator.evaluate(current);
   if (base_eval.valid) {
     result.cost = base_eval.cost;
     control.note_best(base_eval.cost);
@@ -107,7 +107,7 @@ TsnSearchResult tsn_coordinate_descent(CostEvaluator& evaluator, const SystemCon
       if (control.should_stop(evaluator)) return true;  // abort the sweep
       DeltaMove move = DeltaMove::tsn_between(result.config, std::move(next), cluster);
       if (!move.tsn_changed) return false;
-      const auto eval = evaluator.evaluate_delta(current, move);
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate(current, move);
       if (!eval.valid || eval.cost.value >= result.cost.value) return false;
       result.cost = eval.cost;
       result.config = std::move(move.tsn);

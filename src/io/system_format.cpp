@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <istream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -45,11 +46,23 @@ Expected<Time> parse_duration(const std::string& text) {
     return make_error("invalid duration '" + text + "'");
   }
   const std::string unit = text.substr(pos);
-  if (unit.empty() || unit == "ns") return timeunits::ns(value);
-  if (unit == "us") return timeunits::us(value);
-  if (unit == "ms") return timeunits::ms(value);
-  if (unit == "s") return timeunits::sec(value);
-  return make_error("unknown duration unit '" + unit + "'");
+  std::int64_t scale = 0;
+  if (unit.empty() || unit == "ns") {
+    scale = timeunits::ns(1);
+  } else if (unit == "us") {
+    scale = timeunits::us(1);
+  } else if (unit == "ms") {
+    scale = timeunits::ms(1);
+  } else if (unit == "s") {
+    scale = timeunits::sec(1);
+  } else {
+    return make_error("unknown duration unit '" + unit + "'");
+  }
+  // The digits are non-negative; the scaled value must not wrap.
+  if (value > std::numeric_limits<Time>::max() / scale) {
+    return make_error("duration out of range '" + text + "'");
+  }
+  return value * scale;
 }
 
 Expected<ParsedSystem> parse_system(std::istream& in) {
@@ -59,6 +72,17 @@ Expected<ParsedSystem> parse_system(std::istream& in) {
   std::map<std::string, bool> graph_tt;
   std::map<std::string, TaskId> tasks;
   std::map<std::string, GraphId> task_graph;
+
+  // `backend` lines are applied after every node is known: the cluster
+  // count is bounded by the node and bridge declarations, and a backend
+  // index beyond that bound must not size any container.
+  struct BackendLine {
+    int line_no;
+    int cluster;
+    ClusterBackendKind kind;
+  };
+  std::vector<BackendLine> backends;
+  std::size_t cluster_refs = 0;  ///< node homes + gateway bridges
 
   std::string line;
   int line_no = 0;
@@ -84,6 +108,7 @@ Expected<ParsedSystem> parse_system(std::istream& in) {
       if (nodes.contains(args[0])) return error_at("duplicate node '" + args[0] + "'");
       const NodeId id = out.app.add_node(args[0]);
       nodes[args[0]] = id;
+      ++cluster_refs;
       if (args.size() == 2) {
         std::string key;
         std::string value;
@@ -129,6 +154,7 @@ Expected<ParsedSystem> parse_system(std::istream& in) {
       }
       if (home < 0) return error_at("gateway needs cluster=<int>");
       if (bridges.empty()) return error_at("gateway needs bridges=<int>[,<int>...]");
+      cluster_refs += 1 + bridges.size();
       out.app.set_node_cluster(id, static_cast<ClusterId>(static_cast<std::uint32_t>(home)));
       out.app.add_gateway(id, std::move(bridges));
     } else if (keyword == "backend") {
@@ -138,8 +164,7 @@ Expected<ParsedSystem> parse_system(std::istream& in) {
       if (cluster.value() < 0) return error_at("cluster index must be >= 0");
       auto kind = parse_backend_kind(args[1]);
       if (!kind.ok()) return error_at(kind.error().message);
-      out.app.set_cluster_backend(
-          static_cast<ClusterId>(static_cast<std::uint32_t>(cluster.value())), kind.value());
+      backends.push_back({line_no, cluster.value(), kind.value()});
     } else if (keyword == "graph") {
       if (args.size() < 2) return error_at("graph expects: <name> tt|et period=.. deadline=..");
       const std::string& name = args[0];
@@ -275,6 +300,16 @@ Expected<ParsedSystem> parse_system(std::istream& in) {
     }
   }
 
+  for (const BackendLine& backend : backends) {
+    if (static_cast<std::size_t>(backend.cluster) >= cluster_refs) {
+      line_no = backend.line_no;
+      return error_at("backend declared for cluster " + std::to_string(backend.cluster) +
+                      " but the system declares at most " + std::to_string(cluster_refs) +
+                      " cluster(s)");
+    }
+    out.app.set_cluster_backend(
+        static_cast<ClusterId>(static_cast<std::uint32_t>(backend.cluster)), backend.kind);
+  }
   auto fin = out.app.finalize();
   if (!fin.ok()) return make_error("model: " + fin.error().message);
   return out;

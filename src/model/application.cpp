@@ -236,9 +236,19 @@ Expected<bool> Application::derive_routes() {
   // Cluster universe from node homes and gateway bridges; indices must be
   // contiguous from 0 so per-cluster containers can be plain vectors.
   std::uint32_t max_cluster = 0;
+  std::size_t references = 0;  // node homes + gateway bridges
   for (const auto& node : nodes_) {
     max_cluster = std::max(max_cluster, index_of(node.cluster));
     for (const ClusterId b : node.bridges) max_cluster = std::max(max_cluster, index_of(b));
+    references += 1 + node.bridges.size();
+  }
+  if (static_cast<std::size_t>(max_cluster) >= references) {
+    // Fewer references than indices: some cluster below the largest one is
+    // unused.  Reported before any per-cluster container is sized, so a
+    // stray huge index costs nothing.
+    return make_error("cluster indices must be contiguous: cluster " +
+                      std::to_string(max_cluster) + " exists but only " +
+                      std::to_string(references) + " node/bridge declaration(s) name a cluster");
   }
   cluster_count_ = static_cast<std::size_t>(max_cluster) + 1;
   std::vector<char> used(cluster_count_, 0);

@@ -2,14 +2,14 @@
 // review:
 //
 //  1. Arena reuse: across 50 random (spec, move-chain) pairs, the thread
-//     slot's reused arena behind CostEvaluator::evaluate_delta_fast must
+//     slot's reused arena behind CostEvaluator::evaluate(base, move) must
 //     agree bit-for-bit with an independent evaluator's full evaluation on
 //     every completion, jitter, cost and convergence flag.  State leaking
 //     from one analysis into the next cannot hide: a stale entry would
 //     leak a stale bound into the comparison.
 //
 //  2. Zero allocations: replaying a warmed move chain through
-//     evaluate_delta_fast performs no heap allocation at all, measured by
+//     evaluate(base, move) performs no heap allocation at all, measured by
 //     the operator new interposer (src/util/alloc_probe.cpp, linked into
 //     this binary only).  The contract holds in Release; Debug builds
 //     carry the full-analysis cross-check (which allocates by design), so
@@ -76,8 +76,8 @@ TEST(ArenaReuse, MatchesFullEvaluationOnRandomMoveChains) {
 
     CostEvaluator full(app, params, AnalysisOptions{});
     CostEvaluator fast(app, params, AnalysisOptions{});
-    CostEvaluator::Evaluation accepted = fast.evaluate(current);
-    expect_identical(accepted, full.evaluate(current), where + " start");
+    const SystemConfig base = SystemConfig::single(current);
+    expect_identical(fast.evaluate(base), full.evaluate(base), where + " start");
 
     Rng move_rng(spec.seed ^ 0x9e3779b97f4a7c15ull);
     for (int step = 0; step < kMovesPerPair; ++step) {
@@ -88,13 +88,12 @@ TEST(ArenaReuse, MatchesFullEvaluationOnRandomMoveChains) {
                                       start.bounds.min_minislots, SpecLimits::kMaxMinislots);
       }
       if (!moved) break;
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
-      const CostEvaluator::Evaluation& eval = fast.evaluate_delta_fast(accepted, move);
-      expect_identical(eval, full.evaluate(move.config),
+      DeltaMove move = DeltaMove::flexray(std::move(neighbour));
+      const CostEvaluator::Evaluation& eval = fast.evaluate(base, move);
+      expect_identical(eval, full.evaluate(SystemConfig::single(move.config)),
                        where + " step " + std::to_string(step));
       // Walk every move (accepted unconditionally): deep chains stress the
       // reused arena under accumulating geometry changes.
-      accepted = eval;
       current = std::move(move.config);
     }
     ++chains_run;
@@ -125,9 +124,10 @@ TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
 
   long measured = 0;
   std::uint64_t allocations = 0;
+  const SystemConfig base = SystemConfig::single(start.config);
   const auto run_chain = [&](bool count) {
     BusConfig current = start.config;
-    CostEvaluator::Evaluation accepted = evaluator.evaluate(current);
+    (void)evaluator.evaluate(base);
     Rng move_rng(0x5eedu);
     for (int step = 0; step < 64; ++step) {
       BusConfig neighbour = current;
@@ -137,16 +137,15 @@ TEST(ArenaAlloc, WarmReplayPerformsZeroHeapAllocations) {
                                       start.bounds.min_minislots, SpecLimits::kMaxMinislots);
       }
       if (!moved) continue;
-      DeltaMove move = DeltaMove::between(current, std::move(neighbour));
+      DeltaMove move = DeltaMove::flexray(std::move(neighbour));
 
       const std::uint64_t a0 = alloc_probe::thread_allocations();
-      const CostEvaluator::Evaluation& eval = evaluator.evaluate_delta_fast(accepted, move);
+      const CostEvaluator::Evaluation& eval = evaluator.evaluate(base, move);
       const std::uint64_t evaluation_allocs = alloc_probe::thread_allocations() - a0;
       if (count && eval.valid) {
         ++measured;
         allocations += evaluation_allocs;  // error paths allocate strings
       }
-      accepted = eval;
       current = std::move(move.config);
     }
   };

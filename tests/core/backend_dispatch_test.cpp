@@ -24,22 +24,24 @@ using testing::TwoClusterSystem;
 
 TEST(BackendDispatch, SingleClusterFlexrayIsBitIdenticalThroughSystemConfig) {
   TinySystem tiny;
-  CostEvaluator direct(tiny.app, tiny.params, AnalysisOptions{});
-  const auto old_path = direct.evaluate(tiny.config);
-  ASSERT_TRUE(old_path.valid);
+  CostEvaluator move_path(tiny.app, tiny.params, AnalysisOptions{});
+  const auto moved =
+      move_path.evaluate(SystemConfig::single(tiny.config), DeltaMove::flexray(tiny.config));
+  ASSERT_TRUE(moved.valid);
 
   CostEvaluator system_path(tiny.app, tiny.params, AnalysisOptions{});
-  const auto new_path = system_path.evaluate_system(SystemConfig::single(tiny.config));
-  ASSERT_TRUE(new_path.valid);
+  const auto full = system_path.evaluate(SystemConfig::single(tiny.config));
+  ASSERT_TRUE(full.valid);
 
-  EXPECT_EQ(old_path.cost.value, new_path.cost.value);
-  EXPECT_EQ(old_path.cost.schedulable, new_path.cost.schedulable);
-  // The degenerate case routes through the pre-cluster pipeline: the result
-  // is the single-bus Evaluation itself (analysis filled, no per-cluster
-  // vector), byte for byte.
-  EXPECT_TRUE(new_path.cluster_analysis.empty());
-  EXPECT_EQ(old_path.analysis.task_completion, new_path.analysis.task_completion);
-  EXPECT_EQ(old_path.analysis.message_completion, new_path.analysis.message_completion);
+  EXPECT_EQ(moved.cost.value, full.cost.value);
+  EXPECT_EQ(moved.cost.schedulable, full.cost.schedulable);
+  // The degenerate case routes through the single-bus pipeline: both forms
+  // return the single-bus Evaluation itself (analysis filled, no
+  // per-cluster vector), byte for byte.
+  EXPECT_TRUE(moved.cluster_analysis.empty());
+  EXPECT_TRUE(full.cluster_analysis.empty());
+  EXPECT_EQ(moved.analysis.task_completion, full.analysis.task_completion);
+  EXPECT_EQ(moved.analysis.message_completion, full.analysis.message_completion);
 }
 
 struct MixedFixture {
@@ -75,7 +77,7 @@ TEST(BackendDispatch, ProjectionCarriesTheBackendDeclaration) {
 TEST(BackendDispatch, MixedSystemEvaluatesAndDeltaMatchesFull) {
   MixedFixture f;
   CostEvaluator evaluator(f.model, f.sys.params, AnalysisOptions{});
-  const auto base = evaluator.evaluate_system(f.config);
+  const auto base = evaluator.evaluate(f.config);
   ASSERT_TRUE(base.valid) << base.error;
   ASSERT_EQ(base.cluster_analysis.size(), 2u);
 
@@ -84,19 +86,25 @@ TEST(BackendDispatch, MixedSystemEvaluatesAndDeltaMatchesFull) {
   ASSERT_FALSE(next.et_priority.empty());
   next.et_priority[0] += 1;
   const DeltaMove move = DeltaMove::tsn_between(f.config.clusters[1].tsn, next, 1);
-  const auto delta = evaluator.evaluate_delta(f.config, move);
+  const auto delta = evaluator.evaluate(f.config, move);
   ASSERT_TRUE(delta.valid) << delta.error;
 
   SystemConfig substituted = f.config;
   substituted.clusters[1] = ClusterConfig::tsn_switch(next);
   CostEvaluator reference(f.model, f.sys.params, AnalysisOptions{});
-  const auto full = reference.evaluate_system(substituted);
+  const auto full = reference.evaluate(substituted);
   ASSERT_TRUE(full.valid);
   EXPECT_EQ(delta.cost.value, full.cost.value);
+  // The move's view carries the moved cluster's result.
+  EXPECT_TRUE(delta.cluster_analysis.empty());
+  EXPECT_EQ(delta.analysis.task_completion, full.cluster_analysis[1].task_completion);
+  EXPECT_EQ(delta.analysis.message_completion, full.cluster_analysis[1].message_completion);
+  // Every cluster's result, through the cache the move filled.
+  const auto cached = evaluator.evaluate(substituted);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(delta.cluster_analysis[c].task_completion,
+    EXPECT_EQ(cached.cluster_analysis[c].task_completion,
               full.cluster_analysis[c].task_completion);
-    EXPECT_EQ(delta.cluster_analysis[c].message_completion,
+    EXPECT_EQ(cached.cluster_analysis[c].message_completion,
               full.cluster_analysis[c].message_completion);
   }
 }
@@ -104,7 +112,7 @@ TEST(BackendDispatch, MixedSystemEvaluatesAndDeltaMatchesFull) {
 TEST(BackendDispatch, TsnCoordinateDescentNeverWorsensTheSystem) {
   MixedFixture f;
   CostEvaluator evaluator(f.model, f.sys.params, AnalysisOptions{});
-  const auto base = evaluator.evaluate_system(f.config);
+  const auto base = evaluator.evaluate(f.config);
   ASSERT_TRUE(base.valid);
   SolveRequest request;
   request.max_evaluations = 80;
@@ -114,7 +122,7 @@ TEST(BackendDispatch, TsnCoordinateDescentNeverWorsensTheSystem) {
     SystemConfig best = f.config;
     best.clusters[1] = ClusterConfig::tsn_switch(tsn.config);
     CostEvaluator check(f.model, f.sys.params, AnalysisOptions{});
-    const auto re = check.evaluate_system(best);
+    const auto re = check.evaluate(best);
     ASSERT_TRUE(re.valid);
     EXPECT_EQ(re.cost.value, tsn.cost.value);
   }
@@ -154,7 +162,7 @@ TEST(BackendDispatch, MixedThreeClusterSolvesEndToEnd) {
   // The chosen product re-evaluates to the reported cost, and the schema v4
   // report carries the per-cluster backend tags.
   CostEvaluator check(model.value(), params, AnalysisOptions{});
-  const auto eval = check.evaluate_system(report.outcome.system);
+  const auto eval = check.evaluate(report.outcome.system);
   ASSERT_TRUE(eval.valid);
   EXPECT_EQ(eval.cost.value, report.outcome.cost.value);
   const std::string json = write_solve_json(*model.value().global(), "bbc", report);

@@ -28,7 +28,7 @@ TEST(Bbc, FindsScheduleableConfigOnSmallSystem) {
   CostEvaluator evaluator(app.value(), params, fast_analysis());
   BbcOptions options;
   options.max_sweep_points = 24;
-  const OptimizationOutcome outcome = optimize_bbc(evaluator, options);
+  const OptimizationOutcome outcome = optimize_bbc(evaluator, testing::single_bus(), 0, options);
   EXPECT_GT(outcome.evaluations, 0);
   EXPECT_LT(outcome.cost.value, kInvalidConfigCost);
   // The produced config uses the minimal static structure of Fig. 5.
@@ -48,11 +48,11 @@ TEST(Bbc, ProducedConfigIsValidAndReproducible) {
   CostEvaluator evaluator(app.value(), params, fast_analysis());
   BbcOptions options;
   options.max_sweep_points = 16;
-  const OptimizationOutcome outcome = optimize_bbc(evaluator, options);
+  const OptimizationOutcome outcome = optimize_bbc(evaluator, testing::single_bus(), 0, options);
   ASSERT_LT(outcome.cost.value, kInvalidConfigCost);
   // Re-evaluating the chosen config reproduces the reported cost.
   CostEvaluator fresh(app.value(), params, fast_analysis());
-  const auto eval = fresh.evaluate(outcome.config);
+  const auto eval = fresh.evaluate(SystemConfig::single(outcome.config));
   ASSERT_TRUE(eval.valid);
   EXPECT_DOUBLE_EQ(eval.cost.value, outcome.cost.value);
 }
@@ -63,11 +63,11 @@ TEST(Bbc, EvaluationCountMatchesSweepResolution) {
   CostEvaluator evaluator(app, params, fast_analysis());
   BbcOptions coarse;
   coarse.max_sweep_points = 8;
-  const auto few = optimize_bbc(evaluator, coarse);
+  const auto few = optimize_bbc(evaluator, testing::single_bus(), 0, coarse);
   CostEvaluator evaluator2(app, params, fast_analysis());
   BbcOptions fine;
   fine.max_sweep_points = 32;
-  const auto many = optimize_bbc(evaluator2, fine);
+  const auto many = optimize_bbc(evaluator2, testing::single_bus(), 0, fine);
   EXPECT_GT(many.evaluations, few.evaluations);
   // A finer sweep can only improve (or match) the best cost found.
   EXPECT_LE(many.cost.value, few.cost.value + 1e-9);
@@ -79,7 +79,7 @@ TEST(Bbc, ExplicitStrideIsHonoured) {
   CostEvaluator evaluator(app, params, fast_analysis());
   BbcOptions options;
   options.dyn_stride_minislots = 500;
-  const auto outcome = optimize_bbc(evaluator, options);
+  const auto outcome = optimize_bbc(evaluator, testing::single_bus(), 0, options);
   const DynBounds bounds =
       dyn_segment_bounds(app, params,
                          static_cast<Time>(outcome.config.static_slot_count) *

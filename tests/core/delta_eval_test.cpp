@@ -1,6 +1,6 @@
-// DeltaMove construction, BusConfig sub-hash edges, and
-// CostEvaluator::evaluate_delta: bit-equality with evaluate() for every
-// neighbourhood move shape, config-cache integration of the delta path,
+// DeltaMove construction, BusConfig sub-hash edges, and the move form
+// CostEvaluator::evaluate(base, move): bit-equality with the full form for
+// every neighbourhood move shape, config-cache integration of the delta path,
 // and schedule-component reuse accounting across the full and delta
 // paths.
 
@@ -58,14 +58,15 @@ void expect_identical(const CostEvaluator::Evaluation& delta,
   EXPECT_EQ(delta.analysis.converged, full.analysis.converged) << label;
 }
 
-TEST(DeltaMove, BetweenCarriesTheNeighbour) {
+TEST(DeltaMove, FlexrayCarriesTheNeighbourAndItsCluster) {
   const Fixture f;
   BusConfig next = f.base;
   next.minislot_count += 1;
-  const DeltaMove move = DeltaMove::between(f.base, next);
+  const DeltaMove move = DeltaMove::flexray(next);
   EXPECT_EQ(move.backend, ClusterBackendKind::FlexRay);
   EXPECT_EQ(move.cluster, 0);
   EXPECT_EQ(move.config, next);
+  EXPECT_EQ(DeltaMove::flexray(next, 2).cluster, 2);
 }
 
 TEST(ConfigSubHashes, FrameIdChangeKeepsGeometryKey) {
@@ -102,7 +103,7 @@ TEST(ConfigSubHashes, MinislotChangeInvalidatesBothKeys) {
   EXPECT_NE(a.dyn_key, b.dyn_key);
 }
 
-TEST(EvaluateDelta, MatchesFullForEveryMoveShape) {
+TEST(EvaluateMove, MatchesFullForEveryMoveShape) {
   const Fixture f;
   const auto dyn = f.dyn_messages();
   ASSERT_GE(dyn.size(), 2u);
@@ -147,38 +148,41 @@ TEST(EvaluateDelta, MatchesFullForEveryMoveShape) {
 
   CostEvaluator full(f.app, f.params, AnalysisOptions{});
   CostEvaluator delta(f.app, f.params, AnalysisOptions{});
-  ASSERT_TRUE(full.evaluate(f.base).valid);
-  ASSERT_TRUE(delta.evaluate(f.base).valid);
+  ASSERT_TRUE(full.evaluate(SystemConfig::single(f.base)).valid);
+  ASSERT_TRUE(delta.evaluate(SystemConfig::single(f.base)).valid);
+  const SystemConfig base = SystemConfig::single(f.base);
   for (const auto& [label, neighbour] : neighbours) {
-    const DeltaMove move = DeltaMove::between(f.base, neighbour);
-    expect_identical(delta.evaluate_delta(f.base, move), full.evaluate(neighbour), label);
+    const DeltaMove move = DeltaMove::flexray(neighbour);
+    expect_identical(delta.evaluate(base, move), full.evaluate(SystemConfig::single(neighbour)),
+                     label);
   }
   EXPECT_EQ(delta.work_stats().delta_evaluations, neighbours.size());
 }
 
-TEST(EvaluateDelta, NoChangeMoveIsServedFromTheCache) {
+TEST(EvaluateMove, NoChangeMoveIsServedFromTheCache) {
   const Fixture f;
   CostEvaluator evaluator(f.app, f.params, AnalysisOptions{});
-  const auto base_eval = evaluator.evaluate(f.base);
+  const auto base_eval = evaluator.evaluate(SystemConfig::single(f.base));
   ASSERT_TRUE(base_eval.valid);
   const auto hits_before = evaluator.cache_stats().hits;
-  const auto again = evaluator.evaluate_delta(f.base, DeltaMove::between(f.base, f.base));
+  const auto again =
+      evaluator.evaluate(SystemConfig::single(f.base), DeltaMove::flexray(f.base));
   EXPECT_EQ(again.cost.value, base_eval.cost.value);
   EXPECT_EQ(evaluator.cache_stats().hits, hits_before + 1);
   EXPECT_EQ(evaluator.work_stats().delta_evaluations, 0u);  // no analysis ran
 }
 
-TEST(EvaluateDelta, FrameIdMoveReusesTheScheduleComponent) {
+TEST(EvaluateMove, FrameIdMoveReusesTheScheduleComponent) {
   const Fixture f;
   const auto dyn = f.dyn_messages();
   ASSERT_GE(dyn.size(), 2u);
   CostEvaluator evaluator(f.app, f.params, AnalysisOptions{});
-  ASSERT_TRUE(evaluator.evaluate(f.base).valid);
+  ASSERT_TRUE(evaluator.evaluate(SystemConfig::single(f.base)).valid);
   const EvaluatorWorkStats before = evaluator.work_stats();
 
   BusConfig first = f.base;
   std::swap(first.frame_id[dyn.front()], first.frame_id[dyn.back()]);
-  ASSERT_TRUE(evaluator.evaluate_delta(f.base, DeltaMove::between(f.base, first)).valid);
+  ASSERT_TRUE(evaluator.evaluate(SystemConfig::single(f.base), DeltaMove::flexray(first)).valid);
   const EvaluatorWorkStats after_first = evaluator.work_stats();
   // The full-path evaluation above built the table into the component
   // cache the delta path reads: a FrameID swap keeps the geometry.
@@ -191,7 +195,7 @@ TEST(EvaluateDelta, FrameIdMoveReusesTheScheduleComponent) {
   ++unused_fid;
   ASSERT_LE(unused_fid, second.minislot_count);
   second.frame_id[dyn.front()] = unused_fid;
-  ASSERT_TRUE(evaluator.evaluate_delta(first, DeltaMove::between(first, second)).valid);
+  ASSERT_TRUE(evaluator.evaluate(SystemConfig::single(first), DeltaMove::flexray(second)).valid);
   const EvaluatorWorkStats after_second = evaluator.work_stats();
   // Same ST/DYN geometry: the table is reused, never rebuilt.
   EXPECT_EQ(after_second.analysis.schedule_builds, after_first.analysis.schedule_builds);
@@ -199,7 +203,7 @@ TEST(EvaluateDelta, FrameIdMoveReusesTheScheduleComponent) {
   EXPECT_EQ(after_second.delta_evaluations, 2u);
 }
 
-TEST(EvaluateDelta, WorksWithTheCacheDisabled) {
+TEST(EvaluateMove, WorksWithTheCacheDisabled) {
   const Fixture f;
   EvaluatorOptions options;
   options.cache_enabled = false;
@@ -207,19 +211,20 @@ TEST(EvaluateDelta, WorksWithTheCacheDisabled) {
   CostEvaluator full(f.app, f.params, AnalysisOptions{});
   BusConfig neighbour = f.base;
   neighbour.minislot_count += 8;
-  const DeltaMove move = DeltaMove::between(f.base, neighbour);
-  expect_identical(delta.evaluate_delta(f.base, move), full.evaluate(neighbour),
-                   "cache-disabled");
+  const DeltaMove move = DeltaMove::flexray(neighbour);
+  expect_identical(delta.evaluate(SystemConfig::single(f.base), move),
+                   full.evaluate(SystemConfig::single(neighbour)), "cache-disabled");
   EXPECT_EQ(delta.work_stats().delta_evaluations, 1u);
 }
 
-TEST(EvaluateDelta, InvalidNeighbourReportsTheLayoutError) {
+TEST(EvaluateMove, InvalidNeighbourReportsTheLayoutError) {
   const Fixture f;
   CostEvaluator evaluator(f.app, f.params, AnalysisOptions{});
-  ASSERT_TRUE(evaluator.evaluate(f.base).valid);
+  ASSERT_TRUE(evaluator.evaluate(SystemConfig::single(f.base)).valid);
   BusConfig neighbour = f.base;
   neighbour.minislot_count = 0;  // DYN messages exist: layout must reject this
-  const auto eval = evaluator.evaluate_delta(f.base, DeltaMove::between(f.base, neighbour));
+  const auto eval =
+      evaluator.evaluate(SystemConfig::single(f.base), DeltaMove::flexray(neighbour));
   EXPECT_FALSE(eval.valid);
   EXPECT_FALSE(eval.error.empty());
 }

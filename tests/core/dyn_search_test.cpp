@@ -39,7 +39,8 @@ TEST(DynSearch, ExhaustiveFindsAValidLength) {
   options.max_sweep_points = 48;
   ExhaustiveDynSearch search(options);
   const DynSearchResult r =
-      search.search(evaluator, f.base, f.bounds.min_minislots, f.bounds.max_minislots);
+      search.search(evaluator, testing::single_bus(), 0, f.base,
+                    f.bounds.min_minislots, f.bounds.max_minislots);
   EXPECT_TRUE(r.exact);
   EXPECT_GE(r.minislots, f.bounds.min_minislots);
   EXPECT_LE(r.minislots, f.bounds.max_minislots);
@@ -54,13 +55,15 @@ TEST(DynSearch, CurveFitUsesFarFewerEvaluations) {
   eopt.max_sweep_points = 64;
   ExhaustiveDynSearch exhaustive(eopt);
   const DynSearchResult ee =
-      exhaustive.search(exhaustive_eval, f.base, f.bounds.min_minislots, f.bounds.max_minislots);
+      exhaustive.search(exhaustive_eval, testing::single_bus(), 0, f.base,
+                        f.bounds.min_minislots, f.bounds.max_minislots);
   const long ee_evals = exhaustive_eval.evaluations();
 
   CostEvaluator cf_eval(f.app, f.params, f.analysis);
   CurveFitDynSearch curve_fit;
   const DynSearchResult cf =
-      curve_fit.search(cf_eval, f.base, f.bounds.min_minislots, f.bounds.max_minislots);
+      curve_fit.search(cf_eval, testing::single_bus(), 0, f.base,
+                       f.bounds.min_minislots, f.bounds.max_minislots);
   const long cf_evals = cf_eval.evaluations();
 
   ASSERT_TRUE(ee.exact);
@@ -79,14 +82,15 @@ TEST(DynSearch, CurveFitReturnsExactCostForChosenPoint) {
   CostEvaluator evaluator(f.app, f.params, f.analysis);
   CurveFitDynSearch search;
   const DynSearchResult r =
-      search.search(evaluator, f.base, f.bounds.min_minislots, f.bounds.max_minislots);
+      search.search(evaluator, testing::single_bus(), 0, f.base,
+                    f.bounds.min_minislots, f.bounds.max_minislots);
   ASSERT_TRUE(r.exact);
   // Re-analysing the chosen point reproduces the reported cost exactly —
   // i.e. the result never reports an interpolated value.
   BusConfig probe = f.base;
   probe.minislot_count = r.minislots;
   CostEvaluator fresh(f.app, f.params, f.analysis);
-  const auto eval = fresh.evaluate(probe);
+  const auto eval = fresh.evaluate(SystemConfig::single(probe));
   ASSERT_TRUE(eval.valid);
   EXPECT_DOUBLE_EQ(eval.cost.value, r.cost.value);
 }
@@ -96,7 +100,7 @@ TEST(DynSearch, DegenerateRangeSinglePoint) {
   CostEvaluator evaluator(f.app, f.params, f.analysis);
   CurveFitDynSearch search;
   const int x = f.bounds.min_minislots;
-  const DynSearchResult r = search.search(evaluator, f.base, x, x);
+  const DynSearchResult r = search.search(evaluator, testing::single_bus(), 0, f.base, x, x);
   EXPECT_TRUE(r.exact);
   EXPECT_EQ(r.minislots, x);
 }
@@ -114,7 +118,8 @@ TEST(DynSearch, NmaxBoundsIterationsOnHopelessSystems) {
   options.n_max = 3;
   CurveFitDynSearch search(options);
   const DynSearchResult r =
-      search.search(evaluator, f.base, f.bounds.min_minislots, f.bounds.max_minislots);
+      search.search(evaluator, testing::single_bus(), 0, f.base,
+                    f.bounds.min_minislots, f.bounds.max_minislots);
   EXPECT_FALSE(r.cost.schedulable);
   // Initial points + at most n_max refinements (each refinement may verify
   // one interpolated candidate and add one point).

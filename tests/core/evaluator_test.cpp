@@ -1,6 +1,6 @@
 // CostEvaluator: the shared, thread-safe analysis service all optimisers
 // consume — memoization cache, atomic work counter, shared Application
-// ownership, and the evaluate_many worker pool.
+// ownership, and the worker pool behind the batch form.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,7 @@ TEST(CostEvaluator, ValidConfigYieldsCostAndCountsEvaluation) {
   TinySystem sys;
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});
   EXPECT_EQ(evaluator.evaluations(), 0);
-  const auto eval = evaluator.evaluate(sys.config);
+  const auto eval = evaluator.evaluate(SystemConfig::single(sys.config));
   ASSERT_TRUE(eval.valid);
   EXPECT_LT(eval.cost.value, kInvalidConfigCost);
   EXPECT_EQ(evaluator.evaluations(), 1);
@@ -38,7 +38,7 @@ TEST(CostEvaluator, InvalidConfigDoesNotCountAsAnalysis) {
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});
   BusConfig broken = sys.config;
   broken.minislot_count = -1;
-  const auto eval = evaluator.evaluate(broken);
+  const auto eval = evaluator.evaluate(SystemConfig::single(broken));
   EXPECT_FALSE(eval.valid);
   EXPECT_FALSE(eval.error.empty());
   EXPECT_DOUBLE_EQ(eval.cost.value, kInvalidConfigCost);
@@ -48,8 +48,8 @@ TEST(CostEvaluator, InvalidConfigDoesNotCountAsAnalysis) {
 TEST(CostEvaluator, RevisitIsServedFromCache) {
   TinySystem sys;
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});
-  const auto a = evaluator.evaluate(sys.config);
-  const auto b = evaluator.evaluate(sys.config);
+  const auto a = evaluator.evaluate(SystemConfig::single(sys.config));
+  const auto b = evaluator.evaluate(SystemConfig::single(sys.config));
   ASSERT_TRUE(a.valid);
   ASSERT_TRUE(b.valid);
   EXPECT_DOUBLE_EQ(a.cost.value, b.cost.value);
@@ -64,8 +64,8 @@ TEST(CostEvaluator, RevisitIsServedFromCache) {
 TEST(CostEvaluator, CacheDisabledAnalysesEveryVisit) {
   TinySystem sys;
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{}, uncached_serial());
-  const auto a = evaluator.evaluate(sys.config);
-  const auto b = evaluator.evaluate(sys.config);
+  const auto a = evaluator.evaluate(SystemConfig::single(sys.config));
+  const auto b = evaluator.evaluate(SystemConfig::single(sys.config));
   ASSERT_TRUE(a.valid);
   ASSERT_TRUE(b.valid);
   EXPECT_DOUBLE_EQ(a.cost.value, b.cost.value);
@@ -75,11 +75,11 @@ TEST(CostEvaluator, CacheDisabledAnalysesEveryVisit) {
 TEST(CostEvaluator, CachedEvaluationIdenticalToFreshAnalysis) {
   TinySystem sys;
   CostEvaluator cached(sys.app, sys.params, AnalysisOptions{});
-  (void)cached.evaluate(sys.config);           // populate
-  const auto hit = cached.evaluate(sys.config);  // served from cache
+  (void)cached.evaluate(SystemConfig::single(sys.config));           // populate
+  const auto hit = cached.evaluate(SystemConfig::single(sys.config));  // served from cache
 
   CostEvaluator fresh(sys.app, sys.params, AnalysisOptions{}, uncached_serial());
-  const auto reference = fresh.evaluate(sys.config);
+  const auto reference = fresh.evaluate(SystemConfig::single(sys.config));
 
   ASSERT_TRUE(hit.valid);
   ASSERT_TRUE(reference.valid);
@@ -92,7 +92,7 @@ TEST(CostEvaluator, CachedEvaluationIdenticalToFreshAnalysis) {
 TEST(CostEvaluator, AnalysisResultExposed) {
   TinySystem sys;
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});
-  const auto eval = evaluator.evaluate(sys.config);
+  const auto eval = evaluator.evaluate(SystemConfig::single(sys.config));
   ASSERT_TRUE(eval.valid);
   EXPECT_EQ(eval.analysis.task_completion.size(), sys.app.task_count());
   EXPECT_EQ(eval.analysis.message_completion.size(), sys.app.message_count());
@@ -110,7 +110,7 @@ TEST(CostEvaluator, OutlivesSourceApplication) {
     config = sys.config;
     evaluator = std::make_unique<CostEvaluator>(sys.app, sys.params, AnalysisOptions{});
   }  // sys.app destroyed here
-  const auto eval = evaluator->evaluate(config);
+  const auto eval = evaluator->evaluate(SystemConfig::single(config));
   ASSERT_TRUE(eval.valid);
   EXPECT_LT(eval.cost.value, kInvalidConfigCost);
 }
@@ -119,48 +119,105 @@ TEST(CostEvaluator, SharedOwnershipConstructorSharesTheApplication) {
   TinySystem sys;
   auto shared = std::make_shared<const Application>(sys.app);
   CostEvaluator evaluator(shared, sys.params, AnalysisOptions{});
-  EXPECT_EQ(evaluator.application_ptr().get(), shared.get());
-  EXPECT_EQ(&evaluator.application(), shared.get());
-  const auto eval = evaluator.evaluate(sys.config);
+  EXPECT_EQ(evaluator.system_model().global().get(), shared.get());
+  const auto eval = evaluator.evaluate(SystemConfig::single(sys.config));
   EXPECT_TRUE(eval.valid);
 }
 
-TEST(CostEvaluator, EvaluateManyMatchesSerialUncachedWithFewerAnalyses) {
+TEST(CostEvaluator, BatchMatchesSerialUncachedWithFewerAnalyses) {
   TinySystem sys;
+  const SystemConfig base = SystemConfig::single(sys.config);
 
-  // A candidate sweep with revisits, as a nested exploration produces.
-  std::vector<BusConfig> candidates;
+  // A move sweep with revisits, as a nested exploration produces.
+  std::vector<DeltaMove> moves;
   for (int pass = 0; pass < 2; ++pass) {
     for (int minislots = 4; minislots <= 16; ++minislots) {
-      candidates.push_back(sys.config);
-      candidates.back().minislot_count = minislots;
+      moves.push_back(DeltaMove::flexray(sys.config));
+      moves.back().config.minislot_count = minislots;
     }
   }
 
   CostEvaluator serial(sys.app, sys.params, AnalysisOptions{}, uncached_serial());
   std::vector<CostEvaluator::Evaluation> reference;
-  reference.reserve(candidates.size());
-  for (const BusConfig& c : candidates) reference.push_back(serial.evaluate(c));
+  reference.reserve(moves.size());
+  for (const DeltaMove& move : moves) reference.push_back(serial.evaluate(base, move));
 
   EvaluatorOptions pool;
   pool.threads = 4;
   CostEvaluator parallel(sys.app, sys.params, AnalysisOptions{}, pool);
-  const auto results = parallel.evaluate_many(candidates);
+  const auto results = parallel.evaluate(base, moves);
 
   ASSERT_EQ(results.size(), reference.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].valid, reference[i].valid) << "candidate " << i;
-    EXPECT_DOUBLE_EQ(results[i].cost.value, reference[i].cost.value) << "candidate " << i;
+    EXPECT_EQ(results[i].valid, reference[i].valid) << "move " << i;
+    EXPECT_EQ(results[i].cost.value, reference[i].cost.value) << "move " << i;
+    EXPECT_EQ(results[i].analysis.task_completion, reference[i].analysis.task_completion);
+    EXPECT_EQ(results[i].analysis.message_completion,
+              reference[i].analysis.message_completion);
   }
   // The duplicated pass is deduplicated by the cache: strictly fewer full
   // analyses than the uncached serial sweep.
   EXPECT_LT(parallel.evaluations(), serial.evaluations());
+  // Every analysis is charged as a delta (the call form), whatever thread
+  // ran it; the batch form's arenas are not reported.
+  const EvaluatorWorkStats work = parallel.work_stats();
+  EXPECT_EQ(work.full_evaluations, 0u);
+  EXPECT_EQ(work.delta_evaluations, static_cast<std::uint64_t>(parallel.evaluations()));
+  EXPECT_EQ(work.arena_binds + work.arena_reuses, 0u);
+}
+
+TEST(CostEvaluator, BatchCountersDoNotDependOnThePoolSize) {
+  TinySystem sys;
+  const SystemConfig base = SystemConfig::single(sys.config);
+  std::vector<DeltaMove> moves;
+  for (int minislots = 4; minislots <= 24; ++minislots) {
+    moves.push_back(DeltaMove::flexray(sys.config));
+    moves.back().config.minislot_count = minislots;
+  }
+  auto run = [&](int threads) {
+    EvaluatorOptions options;
+    options.threads = threads;
+    CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{}, options);
+    (void)evaluator.evaluate(base, moves);
+    return evaluator.work_stats();
+  };
+  const EvaluatorWorkStats one = run(1);
+  const EvaluatorWorkStats four = run(4);
+  EXPECT_EQ(one.full_evaluations, four.full_evaluations);
+  EXPECT_EQ(one.delta_evaluations, four.delta_evaluations);
+  EXPECT_EQ(one.arena_binds, four.arena_binds);
+  EXPECT_EQ(one.arena_reuses, four.arena_reuses);
+  EXPECT_EQ(one.analysis.components(), four.analysis.components());
+  EXPECT_EQ(one.components_per_delta.count(), four.components_per_delta.count());
+  EXPECT_EQ(one.components_per_delta.sum(), four.components_per_delta.sum());
+}
+
+TEST(CostEvaluator, MoveReplacesTheSingleClusterAndCountsAsDelta) {
+  TinySystem sys;
+  CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{}, uncached_serial());
+  BusConfig next = sys.config;
+  next.minislot_count += 2;
+  const DeltaMove move = DeltaMove::flexray(next);
+  // The move replaces the single cluster's whole configuration, so the
+  // base's contents are not read: any base gives the same view.
+  const double move_cost = evaluator.evaluate(SystemConfig::single(sys.config), move).cost.value;
+  EXPECT_EQ(evaluator.evaluate(SystemConfig{}, move).cost.value, move_cost);
+  const auto full = evaluator.evaluate(SystemConfig::single(next));
+  ASSERT_TRUE(full.valid);
+  EXPECT_EQ(full.cost.value, move_cost);
+  const EvaluatorWorkStats work = evaluator.work_stats();
+  EXPECT_EQ(work.delta_evaluations, 2u);
+  EXPECT_EQ(work.full_evaluations, 1u);
+
+  // A move stamped with a cluster the system does not have is rejected.
+  const DeltaMove stray = DeltaMove::flexray(next, 1);
+  EXPECT_FALSE(evaluator.evaluate(SystemConfig::single(sys.config), stray).valid);
 }
 
 TEST(CostEvaluator, ConcurrentEvaluateIsConsistent) {
   TinySystem sys;
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});
-  const auto reference = evaluator.evaluate(sys.config);
+  const auto reference = evaluator.evaluate(SystemConfig::single(sys.config));
   ASSERT_TRUE(reference.valid);
 
   constexpr int kThreads = 4;
@@ -172,8 +229,8 @@ TEST(CostEvaluator, ConcurrentEvaluateIsConsistent) {
       for (int r = 0; r < kRounds; ++r) {
         BusConfig config = sys.config;
         config.minislot_count = 4 + (r % 8);
-        const auto eval = evaluator.evaluate(config);
-        const auto again = evaluator.evaluate(config);
+        const auto eval = evaluator.evaluate(SystemConfig::single(config));
+        const auto again = evaluator.evaluate(SystemConfig::single(config));
         if (!eval.valid || !again.valid || eval.cost.value != again.cost.value) {
           ++mismatches[t];
         }
@@ -191,11 +248,11 @@ TEST(CostEvaluator, CacheCapacityBoundsInsertions) {
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{}, options);
   BusConfig other = sys.config;
   other.minislot_count = sys.config.minislot_count + 1;
-  (void)evaluator.evaluate(sys.config);
-  (void)evaluator.evaluate(other);  // not inserted: cache is full
+  (void)evaluator.evaluate(SystemConfig::single(sys.config));
+  (void)evaluator.evaluate(SystemConfig::single(other));  // not inserted: cache is full
   EXPECT_EQ(evaluator.cache_stats().entries, 1u);
   // Still correct, just uncached.
-  const auto eval = evaluator.evaluate(other);
+  const auto eval = evaluator.evaluate(SystemConfig::single(other));
   EXPECT_TRUE(eval.valid);
   EXPECT_EQ(evaluator.evaluations(), 3);
 }
@@ -203,10 +260,10 @@ TEST(CostEvaluator, CacheCapacityBoundsInsertions) {
 TEST(CostEvaluator, ClearCacheForcesReanalysis) {
   TinySystem sys;
   CostEvaluator evaluator(sys.app, sys.params, AnalysisOptions{});
-  (void)evaluator.evaluate(sys.config);
+  (void)evaluator.evaluate(SystemConfig::single(sys.config));
   evaluator.clear_cache();
   EXPECT_EQ(evaluator.cache_stats().entries, 0u);
-  (void)evaluator.evaluate(sys.config);
+  (void)evaluator.evaluate(SystemConfig::single(sys.config));
   EXPECT_EQ(evaluator.evaluations(), 2);
 }
 

@@ -1,6 +1,7 @@
 // Multi-cluster evaluation and solving: the SystemConfig evaluator surface
-// (caching, focus substitution, cluster delta moves) and the coordinate-
-// descent driver behind Optimizer::solve, for every registry optimizer.
+// (caching, cluster-stamped moves substituted into a base) and the
+// block-coordinate descent behind Optimizer::solve, for every registry
+// optimizer.
 
 #include <gtest/gtest.h>
 
@@ -40,45 +41,42 @@ struct Fixture {
   }
 };
 
-TEST(MulticlusterEvaluator, EvaluateSystemCachesOnSystemConfig) {
+TEST(MulticlusterEvaluator, EvaluateCachesOnSystemConfig) {
   Fixture f;
   CostEvaluator evaluator(f.model, f.sys.params, AnalysisOptions{});
   EXPECT_EQ(evaluator.cluster_count(), 2u);
 
-  const auto first = evaluator.evaluate_system(f.config);
+  const auto first = evaluator.evaluate(f.config);
   ASSERT_TRUE(first.valid);
   EXPECT_EQ(first.cluster_analysis.size(), 2u);
   EXPECT_EQ(evaluator.evaluations(), 1);
 
-  const auto again = evaluator.evaluate_system(f.config);
+  const auto again = evaluator.evaluate(f.config);
   EXPECT_EQ(again.cost.value, first.cost.value);
   EXPECT_EQ(evaluator.evaluations(), 1);  // served from the cache
   EXPECT_EQ(evaluator.cache_stats().hits, 1u);
 
-  // A raw BusConfig is ambiguous on a multi-cluster evaluator.
-  const auto ambiguous = evaluator.evaluate(f.config.clusters[0].flexray);
-  EXPECT_FALSE(ambiguous.valid);
-  EXPECT_NE(ambiguous.error.find("set_focus"), std::string::npos);
+  // A one-cluster configuration does not fit a two-cluster system.
+  const auto narrow = evaluator.evaluate(SystemConfig::single(f.config.clusters[0].flexray));
+  EXPECT_FALSE(narrow.valid);
+  EXPECT_NE(narrow.error.find("clusters"), std::string::npos);
 }
 
-TEST(MulticlusterEvaluator, FocusSubstitutesIntoContext) {
+TEST(MulticlusterEvaluator, ClusterMoveSubstitutesIntoTheBase) {
   Fixture f;
   CostEvaluator evaluator(f.model, f.sys.params, AnalysisOptions{});
-  evaluator.set_focus(f.config, 1);
-  EXPECT_TRUE(evaluator.focused());
-  // application() is the focused cluster's projection (relay task included).
-  EXPECT_EQ(evaluator.application().task_count(), f.model.cluster_app(1)->task_count());
-
-  const auto focused = evaluator.evaluate(f.config.clusters[1].flexray);
-  ASSERT_TRUE(focused.valid);
-  // The focused evaluation scored the full substituted system: identical to
-  // evaluating the SystemConfig directly.
-  evaluator.clear_focus();
-  const auto direct = evaluator.evaluate_system(f.config);
-  EXPECT_EQ(focused.cost.value, direct.cost.value);
-  // And the focused view surfaced cluster 1's per-activity completions.
-  EXPECT_EQ(focused.analysis.task_completion,
-            direct.cluster_analysis[1].task_completion);
+  // The move re-states cluster 1's own config: the substituted system is
+  // the base itself.
+  const auto moved =
+      evaluator.evaluate(f.config, DeltaMove::flexray(f.config.clusters[1].flexray, 1));
+  ASSERT_TRUE(moved.valid);
+  const auto direct = evaluator.evaluate(f.config);
+  EXPECT_EQ(moved.cost.value, direct.cost.value);
+  // The view surfaces cluster 1's per-activity completions (its projection
+  // includes the relay task).
+  EXPECT_TRUE(moved.cluster_analysis.empty());
+  EXPECT_EQ(moved.analysis.task_completion.size(), f.model.cluster_app(1)->task_count());
+  EXPECT_EQ(moved.analysis.task_completion, direct.cluster_analysis[1].task_completion);
 }
 
 TEST(MulticlusterEvaluator, ClusterDeltaMatchesFullEvaluation) {
@@ -88,29 +86,31 @@ TEST(MulticlusterEvaluator, ClusterDeltaMatchesFullEvaluation) {
   // Mutate cluster 1's DYN segment length through a cluster-stamped move.
   BusConfig next = f.config.clusters[1].flexray;
   next.minislot_count += 5;
-  DeltaMove move = DeltaMove::between(f.config.clusters[1].flexray, next);
-  move.cluster = 1;
-  const auto delta = evaluator.evaluate_delta(f.config, move);
+  const DeltaMove move = DeltaMove::flexray(next, 1);
+  const auto delta = evaluator.evaluate(f.config, move);
   ASSERT_TRUE(delta.valid);
 
   SystemConfig substituted = f.config;
   substituted.clusters[1] = ClusterConfig::flexray_bus(next);
   CostEvaluator reference(f.model, f.sys.params, AnalysisOptions{});
-  const auto full = reference.evaluate_system(substituted);
+  const auto full = reference.evaluate(substituted);
   ASSERT_TRUE(full.valid);
   EXPECT_EQ(delta.cost.value, full.cost.value);
+  EXPECT_EQ(delta.analysis.task_completion, full.cluster_analysis[1].task_completion);
+  EXPECT_EQ(delta.analysis.message_completion, full.cluster_analysis[1].message_completion);
+  EXPECT_EQ(evaluator.work_stats().delta_evaluations, 1u);
+  const auto cached = evaluator.evaluate(substituted);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(delta.cluster_analysis[c].task_completion,
+    EXPECT_EQ(cached.cluster_analysis[c].task_completion,
               full.cluster_analysis[c].task_completion);
-    EXPECT_EQ(delta.cluster_analysis[c].message_completion,
+    EXPECT_EQ(cached.cluster_analysis[c].message_completion,
               full.cluster_analysis[c].message_completion);
   }
-  EXPECT_EQ(evaluator.work_stats().delta_evaluations, 1u);
 
   // Out-of-range cluster indices are rejected, not UB.
   DeltaMove bad = move;
   bad.cluster = 7;
-  EXPECT_FALSE(evaluator.evaluate_delta(f.config, bad).valid);
+  EXPECT_FALSE(evaluator.evaluate(f.config, bad).valid);
 }
 
 TEST(MulticlusterSolve, EveryRegistryOptimizerSolvesATwoClusterSystem) {
@@ -129,7 +129,7 @@ TEST(MulticlusterSolve, EveryRegistryOptimizerSolvesATwoClusterSystem) {
     EXPECT_EQ(report.outcome.config, report.outcome.system.clusters[0].flexray) << info.name;
     // The chosen product must re-evaluate to the reported cost.
     CostEvaluator check(f.model, f.sys.params, AnalysisOptions{});
-    const auto eval = check.evaluate_system(report.outcome.system);
+    const auto eval = check.evaluate(report.outcome.system);
     ASSERT_TRUE(eval.valid) << info.name;
     EXPECT_EQ(eval.cost.value, report.outcome.cost.value) << info.name;
   }

@@ -20,7 +20,7 @@ TEST(Obc, CruiseControllerBecomesSchedulable) {
   const BusParams params = cruise_controller_params();
   CostEvaluator evaluator(app, params, fast_analysis());
   CurveFitDynSearch strategy;
-  const OptimizationOutcome outcome = optimize_obc(evaluator, strategy);
+  const OptimizationOutcome outcome = optimize_obc(evaluator, testing::single_bus(), 0, strategy);
   EXPECT_TRUE(outcome.feasible) << "cost=" << outcome.cost.value;
   EXPECT_LE(outcome.cost.value, 0.0);
   EXPECT_EQ(outcome.algorithm, "OBC-curve-fit");
@@ -33,7 +33,7 @@ TEST(Obc, ExhaustiveStrategyAlsoSchedulable) {
   ExhaustiveDynOptions eopt;
   eopt.max_sweep_points = 32;
   ExhaustiveDynSearch strategy(eopt);
-  const OptimizationOutcome outcome = optimize_obc(evaluator, strategy);
+  const OptimizationOutcome outcome = optimize_obc(evaluator, testing::single_bus(), 0, strategy);
   EXPECT_TRUE(outcome.feasible);
   EXPECT_EQ(outcome.algorithm, "OBC-exhaustive");
 }
@@ -43,10 +43,10 @@ TEST(Obc, ProducedConfigReproducesReportedCost) {
   const BusParams params = cruise_controller_params();
   CostEvaluator evaluator(app, params, fast_analysis());
   CurveFitDynSearch strategy;
-  const OptimizationOutcome outcome = optimize_obc(evaluator, strategy);
+  const OptimizationOutcome outcome = optimize_obc(evaluator, testing::single_bus(), 0, strategy);
   ASSERT_TRUE(outcome.feasible);
   CostEvaluator fresh(app, params, fast_analysis());
-  const auto eval = fresh.evaluate(outcome.config);
+  const auto eval = fresh.evaluate(SystemConfig::single(outcome.config));
   ASSERT_TRUE(eval.valid);
   EXPECT_DOUBLE_EQ(eval.cost.value, outcome.cost.value);
 }
@@ -58,7 +58,7 @@ TEST(Obc, ExploresMoreSlotsThanBbcWhenNeeded) {
   const BusParams params = cruise_controller_params();
   CostEvaluator evaluator(app, params, fast_analysis());
   CurveFitDynSearch strategy;
-  const OptimizationOutcome outcome = optimize_obc(evaluator, strategy);
+  const OptimizationOutcome outcome = optimize_obc(evaluator, testing::single_bus(), 0, strategy);
   const auto senders = st_sender_nodes(app);
   EXPECT_GE(outcome.config.static_slot_count, static_cast<int>(senders.size()));
   EXPECT_EQ(outcome.config.static_slot_owner.size(),
@@ -77,7 +77,8 @@ TEST(Obc, StopsAtFirstFeasibleConfiguration) {
   CurveFitDynSearch strategy;
   ObcOptions options;
   options.max_extra_slots = 6;
-  const OptimizationOutcome outcome = optimize_obc(evaluator, strategy, options);
+  const OptimizationOutcome outcome =
+      optimize_obc(evaluator, testing::single_bus(), 0, strategy, options);
   if (outcome.feasible) {
     // Termination on feasibility keeps evaluations modest: no more than a
     // couple of DYN searches' worth.
@@ -92,7 +93,8 @@ TEST(Obc, ArbitraryFrameIdsSupportedForAblation) {
   CurveFitDynSearch strategy;
   ObcOptions options;
   options.criticality_frame_ids = false;
-  const OptimizationOutcome outcome = optimize_obc(evaluator, strategy, options);
+  const OptimizationOutcome outcome =
+      optimize_obc(evaluator, testing::single_bus(), 0, strategy, options);
   EXPECT_LT(outcome.cost.value, kInvalidConfigCost);  // still analysable
 }
 

@@ -86,7 +86,8 @@ class ScriptedOptimizer final : public Optimizer {
   ScriptedOptimizer(std::string name, double cost, long evaluations)
       : name_(std::move(name)), cost_(cost), evaluations_(evaluations) {}
   [[nodiscard]] std::string_view name() const override { return name_; }
-  SolveReport solve_cluster(CostEvaluator&, const SolveRequest&) override {
+  SolveReport solve_cluster(CostEvaluator&, const SystemConfig&, int,
+                            const SolveRequest&) override {
     SolveReport report;
     report.outcome.cost = Cost{cost_, cost_ <= 0.0, 0};
     report.outcome.feasible = cost_ <= 0.0;

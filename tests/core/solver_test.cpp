@@ -241,10 +241,11 @@ TEST(OptimizerRegistry, SupportsExternalRegistration) {
   class FixedConfigOptimizer final : public Optimizer {
    public:
     [[nodiscard]] std::string_view name() const override { return "fixed"; }
-    SolveReport solve_cluster(CostEvaluator& evaluator, const SolveRequest&) override {
+    SolveReport solve_cluster(CostEvaluator& evaluator, const SystemConfig&, int,
+                              const SolveRequest&) override {
       SolveReport report;
       TinySystem sys;
-      const auto eval = evaluator.evaluate(sys.config);
+      const auto eval = evaluator.evaluate(SystemConfig::single(sys.config));
       report.outcome.algorithm = "FIXED";
       report.outcome.config = sys.config;
       report.outcome.cost = eval.cost;

@@ -12,11 +12,9 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "flexopt/analysis/sat_time.hpp"
-#include "flexopt/core/delta_move.hpp"
 #include "flexopt/core/dyn_search.hpp"
 #include "flexopt/math/interpolation.hpp"
 
@@ -26,9 +24,8 @@ namespace flexopt::testing {
 /// CurveFitDynSearch::search without a SolveControl.
 inline DynSearchResult curve_fit_oracle_search(CostEvaluator& evaluator, const BusConfig& base,
                                                int dyn_min, int dyn_max,
-                                               const CurveFitDynOptions& options = {},
-                                               const BusConfig* warm_base = nullptr) {
-  const Application& app = evaluator.application();
+                                               const CurveFitDynOptions& options = {}) {
+  const Application& app = *evaluator.system_model().global();
   const std::size_t n_tasks = app.task_count();
   const std::size_t n_msgs = app.message_count();
   auto completion_to_us = [&](ActivityRef a, Time completion) {
@@ -42,21 +39,13 @@ inline DynSearchResult curve_fit_oracle_search(CostEvaluator& evaluator, const B
   };
   std::map<int, PointData> points;
 
-  // Each point is a DeltaMove off the previously analysed configuration.
-  std::optional<BusConfig> chain_base;
-  if (warm_base != nullptr) chain_base = *warm_base;
+  // Each point is a full evaluation of the candidate configuration.
   auto analyse_point = [&](int minislots) -> const PointData* {
     if (const auto it = points.find(minislots); it != points.end()) return &it->second;
     BusConfig candidate = base;
     candidate.minislot_count = minislots;
-    CostEvaluator::Evaluation eval;
-    if (chain_base.has_value()) {
-      eval = evaluator.evaluate_delta(*chain_base, DeltaMove::between(*chain_base, candidate));
-    } else {
-      eval = evaluator.evaluate(candidate);
-    }
+    const CostEvaluator::Evaluation eval = evaluator.evaluate(SystemConfig::single(candidate));
     if (!eval.valid) return nullptr;
-    chain_base = candidate;
     PointData data;
     data.cost = eval.cost;
     for (std::size_t t = 0; t < n_tasks; ++t) {

@@ -6,9 +6,14 @@
 
 #include "flexopt/analysis/system_analysis.hpp"
 #include "flexopt/flexray/bus_layout.hpp"
+#include "flexopt/flexray/system_config.hpp"
 #include "flexopt/gen/figures.hpp"
 
 namespace flexopt::testing {
+
+/// The one-cluster base a single-bus search hands the evaluator: every move
+/// of cluster 0 replaces it whole, so its contents are never read.
+inline SystemConfig single_bus() { return SystemConfig::single(BusConfig{}); }
 
 /// Builds a layout or throws (tests want loud failures with the reason).
 inline BusLayout make_layout(const Application& app, const BusParams& params,

@@ -84,10 +84,11 @@ Fixture smoke_fixture(std::size_t index) {
 }
 
 std::string solve_to_json(const Fixture& fixture, const std::string& algorithm,
-                          const OptimizerParams& params, long budget) {
+                          const OptimizerParams& params, long budget,
+                          EvaluatorOptions evaluator_options = {}) {
   auto optimizer = OptimizerRegistry::create(algorithm, params);
   if (!optimizer.ok()) throw std::runtime_error(optimizer.error().message);
-  CostEvaluator evaluator(fixture.app, fixture.params, AnalysisOptions{});
+  CostEvaluator evaluator(fixture.app, fixture.params, AnalysisOptions{}, evaluator_options);
   SolveRequest request;
   request.seed = fixture.seed;
   request.max_evaluations = budget;
@@ -113,6 +114,24 @@ TEST(SolveGolden, PortfolioReportMatchesGolden) {
   spec.members = {"sa", "sa", "obc-cf", "bbc"};
   expect_golden("solve_smoke0_portfolio.json",
                 solve_to_json(fixture, "portfolio", spec, 160));
+}
+
+// The report is a function of (system, algorithm, seed, budget): the
+// evaluator's pool size must not leak into any field — not the winner, and
+// not the counters that say which analysis path ran.
+TEST(SolveGolden, ReportDoesNotDependOnTheThreadCount) {
+  for (const std::size_t index : {std::size_t{0}, std::size_t{5}}) {
+    const Fixture fixture = smoke_fixture(index);
+    for (const char* algorithm : {"bbc", "obc-ee", "obc-cf", "sa", "portfolio"}) {
+      EvaluatorOptions one;
+      one.threads = 1;
+      EvaluatorOptions four;
+      four.threads = 4;
+      EXPECT_EQ(solve_to_json(fixture, algorithm, {}, fixture.budget, one),
+                solve_to_json(fixture, algorithm, {}, fixture.budget, four))
+          << "fixture " << index << " " << algorithm;
+    }
+  }
 }
 
 }  // namespace

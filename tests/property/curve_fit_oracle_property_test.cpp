@@ -2,8 +2,8 @@
 // (one incrementally updated grid table per search) against the plain
 // full-rescan oracle in curve_fit_oracle.hpp, on the 112 systems of the
 // Fig. 9 campaign population (specs/fig9.campaign).  Each system is
-// searched from its minimal start configuration and, chained off that
-// result as OBC's outer loop does, from the next static slot length.  Both
+// searched from its minimal start configuration and then, reusing the
+// strategy object as OBC's outer loop does, at the next static slot length.  Both
 // sides run on fresh evaluators with FPS-impact placement, so the list
 // scheduler's pruned candidate scoring shapes every analysed point.  The
 // result (minislots, cost bits, schedulable flag) and the number of full
@@ -91,17 +91,16 @@ TEST(CurveFitOracle, IncrementalGridMatchesFullRescanOnFig9Population) {
           oracle_eval, first, start.bounds.min_minislots, start.bounds.max_minislots,
           variant.options);
       const DynSearchResult got =
-          search.search(eval, first, start.bounds.min_minislots, start.bounds.max_minislots);
+          search.search(eval, SystemConfig::single(first), 0, first, start.bounds.min_minislots,
+                        start.bounds.max_minislots);
       expect_same(got, want, where + " start");
       EXPECT_EQ(eval.evaluations(), oracle_eval.evaluations()) << where << " start";
       ++searches;
       if (oracle_eval.evaluations() >= 10) ++long_searches;
       if (!want.exact) continue;
 
-      // The next slot length, chained off the first result, reusing the
-      // same strategy object (its table buffers carry over).
-      BusConfig warm = first;
-      warm.minislot_count = want.minislots;
+      // The next slot length, reusing the same strategy object (its table
+      // buffers carry over).
       BusConfig next = first;
       next.static_slot_len += payload_step;
       const DynBounds bounds = dyn_segment_bounds(
@@ -109,9 +108,9 @@ TEST(CurveFitOracle, IncrementalGridMatchesFullRescanOnFig9Population) {
       if (!bounds.feasible()) continue;
       const long oracle_before = oracle_eval.evaluations();
       const DynSearchResult want2 = testing::curve_fit_oracle_search(
-          oracle_eval, next, bounds.min_minislots, bounds.max_minislots, variant.options, &warm);
-      const DynSearchResult got2 =
-          search.search(eval, next, bounds.min_minislots, bounds.max_minislots, nullptr, &warm);
+          oracle_eval, next, bounds.min_minislots, bounds.max_minislots, variant.options);
+      const DynSearchResult got2 = search.search(eval, SystemConfig::single(next), 0, next,
+                                                 bounds.min_minislots, bounds.max_minislots);
       expect_same(got2, want2, where + " next");
       EXPECT_EQ(eval.evaluations(), oracle_eval.evaluations()) << where << " next";
       ++searches;

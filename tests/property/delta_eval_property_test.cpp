@@ -1,8 +1,9 @@
 // Property test of the incremental evaluation engine: across random
 // (spec, move-sequence) pairs drawn from every topology family, a chain of
-// SA neighbourhood moves evaluated through CostEvaluator::evaluate_delta
-// must agree bit-for-bit with independent full evaluations — costs,
-// completion bounds, jitters and convergence alike.  25 pairs per family
+// SA neighbourhood moves evaluated through the move form
+// CostEvaluator::evaluate(base, move) must agree bit-for-bit with
+// independent full evaluations — costs, completion bounds, jitters and
+// convergence alike.  25 pairs per family
 // x 4 families = 100 pairs, each with an 8-move chain.
 
 #include <gtest/gtest.h>
@@ -70,7 +71,8 @@ void run_family(Topology topology) {
 
     CostEvaluator full(app, params, AnalysisOptions{});
     CostEvaluator delta(app, params, AnalysisOptions{});
-    expect_identical(delta.evaluate(current), full.evaluate(current), where + " start");
+    const SystemConfig base = SystemConfig::single(current);
+    expect_identical(delta.evaluate(base), full.evaluate(base), where + " start");
 
     Rng move_rng(spec.base.seed ^ 0x9e3779b97f4a7c15ull);
     for (int step = 0; step < kMovesPerPair; ++step) {
@@ -81,9 +83,9 @@ void run_family(Topology topology) {
                                       bounds.min_minislots, SpecLimits::kMaxMinislots);
       }
       if (!moved) continue;
-      const DeltaMove move = DeltaMove::between(current, std::move(neighbour));
-      const auto ef = full.evaluate(move.config);
-      const auto ed = delta.evaluate_delta(current, move);
+      const DeltaMove move = DeltaMove::flexray(std::move(neighbour));
+      const auto ef = full.evaluate(SystemConfig::single(move.config));
+      const auto& ed = delta.evaluate(SystemConfig::single(current), move);
       expect_identical(ed, ef, where + " step " + std::to_string(step));
       // Walk on through every analysable neighbour (invalid ones keep the
       // previous base).

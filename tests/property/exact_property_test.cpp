@@ -233,11 +233,11 @@ TEST(ExactProperty, ExactEvaluationBitDeterministicAcrossWorkerCounts) {
   ASSERT_TRUE(start.bounds.feasible());
 
   // A batch of minislot perturbations evaluated under 1 and 8 workers.
-  std::vector<BusConfig> batch;
+  const SystemConfig base = SystemConfig::single(start.config);
+  std::vector<DeltaMove> batch;
   for (int k = 0; k < 12; ++k) {
-    BusConfig config = start.config;
-    config.minislot_count += static_cast<int>(rng.uniform_int(0, 16));
-    batch.push_back(std::move(config));
+    batch.push_back(DeltaMove::flexray(start.config));
+    batch.back().config.minislot_count += static_cast<int>(rng.uniform_int(0, 16));
   }
 
   AnalysisOptions exact_options;
@@ -250,8 +250,8 @@ TEST(ExactProperty, ExactEvaluationBitDeterministicAcrossWorkerCounts) {
   eight_options.cache_enabled = false;
   CostEvaluator one(app.value(), params, exact_options, one_options);
   CostEvaluator eight(app.value(), params, exact_options, eight_options);
-  const auto serial = one.evaluate_many(batch);
-  const auto parallel = eight.evaluate_many(batch);
+  const auto serial = one.evaluate(base, batch);
+  const auto parallel = eight.evaluate(base, batch);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].valid, parallel[i].valid) << i;

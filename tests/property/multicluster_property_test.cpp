@@ -111,24 +111,28 @@ TEST(MulticlusterProperty, ClusterDeltaMatchesFullEvaluation) {
         std::swap(next.frame_id[a], next.frame_id[b]);
         if (a == b) next.minislot_count += 1;  // degenerate swap: still move
       }
-      DeltaMove move = DeltaMove::between(
-          base.clusters[static_cast<std::size_t>(cluster)].flexray, std::move(next));
-      move.cluster = cluster;
+      const DeltaMove move = DeltaMove::flexray(std::move(next), cluster);
 
-      const auto delta = evaluator.evaluate_delta(base, move);
+      const auto delta = evaluator.evaluate(base, move);
       CostEvaluator fresh(model, params, AnalysisOptions{});
       SystemConfig substituted = base;
       substituted.clusters[static_cast<std::size_t>(cluster)] =
           ClusterConfig::flexray_bus(move.config);
-      const auto full = fresh.evaluate_system(substituted);
+      const auto full = fresh.evaluate(substituted);
       ASSERT_EQ(delta.valid, full.valid) << "scenario " << i << " step " << step;
       if (!delta.valid) continue;
       EXPECT_EQ(delta.cost.value, full.cost.value) << "scenario " << i << " step " << step;
       EXPECT_EQ(delta.cost.schedulable, full.cost.schedulable);
+      // The move's view carries the moved cluster's result; every
+      // cluster's result is read back through the cache the move filled.
+      const auto& moved = full.cluster_analysis[static_cast<std::size_t>(cluster)];
+      EXPECT_EQ(delta.analysis.task_completion, moved.task_completion);
+      EXPECT_EQ(delta.analysis.message_completion, moved.message_completion);
+      const auto cached = evaluator.evaluate(substituted);
       for (std::size_t c = 0; c < model.cluster_count(); ++c) {
-        EXPECT_EQ(delta.cluster_analysis[c].task_completion,
+        EXPECT_EQ(cached.cluster_analysis[c].task_completion,
                   full.cluster_analysis[c].task_completion);
-        EXPECT_EQ(delta.cluster_analysis[c].message_completion,
+        EXPECT_EQ(cached.cluster_analysis[c].message_completion,
                   full.cluster_analysis[c].message_completion);
       }
       base = std::move(substituted);

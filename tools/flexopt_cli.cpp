@@ -435,7 +435,7 @@ int solve_main(int argc, char** argv) {
     // portfolio descents race members on sibling evaluators, so the winning
     // product may be analysed once more here.
     const SystemModel& sys = evaluator.system_model();
-    const auto evaluation = evaluator.evaluate_system(outcome.system);
+    const auto evaluation = evaluator.evaluate(outcome.system);
     if (!evaluation.valid) {
       std::cerr << "analysis: " << evaluation.error << "\n";
       return 1;
