@@ -17,10 +17,10 @@
 // cached runs must produce identical costs with fewer analyses.  With
 // --check the run fails unless every batch cost equals the serial loop's
 // bit for bit, every analysis of a move is counted as a delta evaluation,
-// and the BBC sweep's full/delta counts at N threads equal those at one
-// thread.  The analysis count of the revisiting sweep is not gated: its
-// revisits share a batch, and concurrent misses of one configuration may
-// analyse it twice.
+// the revisiting sweep's analysis and cache-hit counts at N threads equal
+// those at one thread (its revisits share a batch; the batch form serves
+// them as the serial loop's cache hits), and the BBC sweep's full/delta
+// counts at N threads equal those at one thread.
 
 #include <algorithm>
 #include <chrono>
@@ -29,6 +29,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -134,6 +135,8 @@ int main(int argc, char** argv) {
   Table table({"mode", "candidates", "analyses", "cache hits", "full", "delta", "time (s)",
                "identical"});
   std::vector<double> reference;
+  // Analyses and cache hits of the batch runs, per pool size.
+  std::vector<std::pair<long, std::uint64_t>> batch_counts;
   for (const Run& run : runs) {
     EvaluatorOptions options;
     options.cache_enabled = run.cache;
@@ -176,8 +179,15 @@ int main(int argc, char** argv) {
       std::cerr << run.label << ": a move analysis was not counted as a delta evaluation\n";
       ok = false;
     }
+    if (run.batch) batch_counts.emplace_back(evaluator.evaluations(), stats.hits);
   }
   table.print(std::cout);
+  if (batch_counts.size() == 2 && batch_counts[0] != batch_counts[1]) {
+    std::cerr << "revisiting sweep: analyses/cache hits differ between 1 and " << pool_threads
+              << " threads (" << batch_counts[0].first << "/" << batch_counts[0].second
+              << " vs " << batch_counts[1].first << "/" << batch_counts[1].second << ")\n";
+    ok = false;
+  }
 
   std::cout << "\n== BBC DYN-length sweep, 5-node fig9 system: pool vs one worker ==\n";
   const auto fig9 = fig9_five_node_system();

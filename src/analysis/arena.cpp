@@ -16,7 +16,6 @@ void AnalysisArena::bind(std::shared_ptr<const TaskStructure> s) {
   completion.assign(ts.n_acts, 0);
   jitter.assign(ts.n_acts, 0);
   dirty.reset(ts.n_acts);
-  fps_params = ts.fps_params;  // jitter slots are refreshed before every use
 
   const std::size_t n_dyn = ts.dyn_messages.size();
   dyn_prepared.assign(n_dyn, DynPrepared{});

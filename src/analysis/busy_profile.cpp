@@ -53,6 +53,7 @@ void BusyProfile::rebuild_derived() {
     acc += iv.length();
   }
   total_busy_ = acc;
+  utilisation_ = static_cast<double>(total_busy_) / static_cast<double>(period_);
 
   // Largest idle gap, accounting for the wrap from the last interval to the
   // first interval of the next period.
@@ -94,22 +95,28 @@ Time BusyProfile::max_busy_in_window(Time w) const {
   if (w <= 0 || intervals_.empty()) return 0;
   // Window i is [s_i, s_i + w): its busy time is
   //   k * total + prefix(to mod P) - prefix_at_start_[i],  k = to / P.
-  // The window ends rise with i and span less than one period, so `to mod
-  // P` increases except for at most one wrap into the next period.  A
-  // single forward pointer `j` (intervals starting at or before the end)
-  // therefore replaces a binary search per window.  This is the innermost
-  // loop of the FPS fixed point.
+  // With w = q * P + r (the call's one division) and s_i + r < 2P, the end
+  // lies in period q or q + 1 — no division per window.  The window ends
+  // rise with i, so `to mod P` increases except for at most one wrap into
+  // the next period, and a single forward pointer `j` (intervals starting
+  // at or before the end) replaces a binary search per window.  This is
+  // the innermost loop of the FPS fixed point.
   const std::size_t n = intervals_.size();
+  const std::int64_t q = w / period_;
+  const Time r = w - q * period_;
   Time best = 0;
   std::size_t j = 0;
-  std::int64_t k_prev = -1;
+  bool wrapped = false;
   for (std::size_t i = 0; i < n; ++i) {
-    const Time to = intervals_[i].start + w;
-    const std::int64_t k = to / period_;
-    const Time to_local = to - k * period_;
-    if (k != k_prev) {
-      j = 0;  // first window, or the wrap into the next period
-      k_prev = k;
+    Time to_local = intervals_[i].start + r;
+    std::int64_t k = q;
+    if (to_local >= period_) {
+      to_local -= period_;
+      k = q + 1;
+      if (!wrapped) {
+        j = 0;  // the wrap into the next period
+        wrapped = true;
+      }
     }
     while (j < n && intervals_[j].start <= to_local) ++j;
     Time prefix_end = 0;

@@ -46,9 +46,8 @@ struct AnalysisArena {
   std::vector<Time> jitter;      ///< per aid
   IndexBitset dirty;             ///< "a read jitter moved" per component, per aid
 
-  /// Mutable copy of TaskStructure::fps_params (jitter slots are refreshed
-  /// in place before each FPS recomputation).
-  std::vector<FpsTaskParams> fps_params;
+  /// Release counters of the FPS kernel.
+  FpsScratch fps_scratch;
 
   // ---- per-evaluation DYN recurrence inputs --------------------------------
   std::vector<DynPrepared> dyn_prepared;  ///< per dense DYN index

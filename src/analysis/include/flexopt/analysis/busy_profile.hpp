@@ -50,6 +50,9 @@ class BusyProfile {
   /// Total busy time within one period.
   [[nodiscard]] Time busy_per_period() const { return total_busy_; }
   [[nodiscard]] Time period() const { return period_; }
+  /// busy_per_period() / period() as a double: the SCS share of the FPS
+  /// load pre-test, divided once per profile instead of once per recurrence.
+  [[nodiscard]] double utilisation() const { return utilisation_; }
   [[nodiscard]] const std::vector<Interval>& intervals() const { return intervals_; }
 
   /// Busy time inside [from, to) for arbitrary 0 <= from <= to (window may
@@ -60,9 +63,9 @@ class BusyProfile {
   /// interference term S(w) in the FPS response-time recurrence.  The
   /// maximum is attained with the window starting at some interval start
   /// (standard sliding-window argument), so only |intervals| candidates are
-  /// evaluated.  O(|intervals|): the window ends are located by one forward
-  /// pointer that wraps into the next period at most once, not by a
-  /// binary search per window.
+  /// evaluated.  O(|intervals|) with one division per call: the window ends
+  /// are located by one forward pointer that wraps into the next period at
+  /// most once, not by a binary search or a division per window.
   [[nodiscard]] Time max_busy_in_window(Time w) const;
 
   /// Earliest instant t >= from such that [t, t + len) is completely idle
@@ -81,6 +84,7 @@ class BusyProfile {
   std::vector<Time> prefix_at_start_;  // busy in [0, intervals_[i].start)
   Time period_ = 1;
   Time total_busy_ = 0;
+  double utilisation_ = 0.0;
   Time largest_gap_ = 0;
 };
 

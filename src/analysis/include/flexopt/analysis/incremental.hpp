@@ -95,13 +95,10 @@ struct TaskStructure {
   std::uint32_t n_nodes = 0;
   std::uint32_t n_acts = 0;  ///< n_tasks + n_msgs
 
-  /// FPS task parameter templates, one flat array grouped by node:
-  /// node n's group is fps_params[fps_node_begin[n] .. fps_node_begin[n+1]).
-  /// (Jitter slots are copied into the arena and refreshed per analysis;
-  /// the structure itself is immutable.)
-  std::vector<FpsTaskParams> fps_params;
-  std::vector<std::uint32_t> fps_node_begin;   ///< size n_nodes + 1
-  std::vector<std::int32_t> fps_slot_of_task;  ///< per task; -1 when not FPS
+  /// FPS tasks prepared for the kernel, grouped by node, ascending task
+  /// index within a node; each with its interferer list.
+  FpsTaskSet fps;
+  std::vector<std::int32_t> fps_slot_of_task;  ///< per task: index in fps.tasks; -1 when not FPS
 
   /// Indices of DYN messages, ascending — the dense DYN index space.
   std::vector<std::uint32_t> dyn_messages;

@@ -35,11 +35,22 @@ struct SchedulerOptions {
   std::int64_t max_slot_search_cycles = 4096;
 };
 
+/// Where the base FPS responses of the FPS-impact placement came from: one
+/// count per FPS task per scored SCS job.  Every path yields the from-zero
+/// response bit for bit; the split only shows the work saved.
+struct PlacementWork {
+  std::uint64_t reused = 0;     ///< the node's record, unchanged profile (or proven unbounded)
+  std::uint64_t refreshed = 0;  ///< a run seeded by the record on a grown profile
+  std::uint64_t first = 0;      ///< from zero, the task's first scored job
+  std::uint64_t fallbacks = 0;  ///< from zero because the iteration-cap guard refused the record
+};
+
 /// Builds the static schedule table for all SCS tasks and ST messages.
 /// Fails when precedence cannot be satisfied (should not happen for a
 /// finalized application) or when an ST message cannot be placed within the
-/// search bound.
+/// search bound.  `work` (optional) accumulates PlacementWork.
 Expected<StaticSchedule> build_static_schedule(const BusLayout& layout,
-                                               const SchedulerOptions& options = {});
+                                               const SchedulerOptions& options = {},
+                                               PlacementWork* work = nullptr);
 
 }  // namespace flexopt

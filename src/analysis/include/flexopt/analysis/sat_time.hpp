@@ -17,10 +17,13 @@ constexpr Time sat_add(Time a, Time b) {
   return a + b;
 }
 
+/// a * k for a, k >= 0, saturating at kTimeInfinity (an exact product of
+/// kTimeInfinity is kTimeInfinity too).  The overflow check is the
+/// compiler's multiply-with-overflow flag, not a division.
 constexpr Time sat_mul(Time a, std::int64_t k) {
-  if (is_infinite(a)) return kTimeInfinity;
-  if (k != 0 && a > kTimeInfinity / k) return kTimeInfinity;
-  return a * k;
+  Time product = 0;
+  if (is_infinite(a) || __builtin_mul_overflow(a, k, &product)) return kTimeInfinity;
+  return product;
 }
 
 }  // namespace flexopt

@@ -214,28 +214,15 @@ std::shared_ptr<const TaskStructure> AnalysisComponentCache::task_structure(
     ts.n_nodes = static_cast<std::uint32_t>(app.node_count());
     ts.n_acts = ts.n_tasks + ts.n_msgs;
 
-    // FPS templates as CSR grouped by node, ascending task index within a
-    // node (the order the per-node vectors used to hold).
-    ts.fps_node_begin.assign(ts.n_nodes + 1, 0);
+    // FPS tasks grouped by node, ascending task index within a node.
+    ts.fps = prepare_fps_tasks(app);
     ts.fps_slot_of_task.assign(ts.n_tasks, -1);
     ts.task_node.resize(ts.n_tasks);
     for (std::uint32_t t = 0; t < ts.n_tasks; ++t) {
-      const Task& task = app.tasks()[t];
-      ts.task_node[t] = static_cast<std::uint32_t>(index_of(task.node));
-      if (task.policy == TaskPolicy::Fps) ++ts.fps_node_begin[ts.task_node[t] + 1];
+      ts.task_node[t] = static_cast<std::uint32_t>(index_of(app.tasks()[t].node));
     }
-    for (std::uint32_t n = 0; n < ts.n_nodes; ++n) {
-      ts.fps_node_begin[n + 1] += ts.fps_node_begin[n];
-    }
-    ts.fps_params.resize(ts.fps_node_begin[ts.n_nodes]);
-    std::vector<std::uint32_t> cursor(ts.fps_node_begin.begin(), ts.fps_node_begin.end() - 1);
-    for (std::uint32_t t = 0; t < ts.n_tasks; ++t) {
-      const Task& task = app.tasks()[t];
-      if (task.policy != TaskPolicy::Fps) continue;
-      const std::uint32_t slot = cursor[ts.task_node[t]]++;
-      ts.fps_params[slot] = FpsTaskParams{static_cast<TaskId>(t), task.wcet,
-                                          app.graph(task.graph).period, 0, task.priority};
-      ts.fps_slot_of_task[t] = static_cast<std::int32_t>(slot);
+    for (std::size_t i = 0; i < ts.fps.tasks.size(); ++i) {
+      ts.fps_slot_of_task[ts.fps.tasks[i].task] = static_cast<std::int32_t>(i);
     }
 
     // Dense DYN index space, ascending message index.
@@ -359,9 +346,7 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
   // a value.  Every component starts dirty.
   IndexBitset& dirty = arena.dirty;
   dirty.clear();
-  for (const FpsTaskParams& p : ts.fps_params) {
-    dirty.set(static_cast<std::uint32_t>(index_of(p.id)));
-  }
+  for (const FpsTask& p : ts.fps.tasks) dirty.set(p.task);
   for (const std::uint32_t m : ts.dyn_messages) dirty.set(n_tasks + m);
 
   // Reverse read sets, applied on the fly (|DYN| and node groups are small).
@@ -383,12 +368,9 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
   auto dirty_fps_readers = [&](std::uint32_t t) {
     const std::uint32_t node = ts.task_node[t];
     const int t_priority =
-        ts.fps_params[static_cast<std::uint32_t>(ts.fps_slot_of_task[t])].priority;
-    for (std::uint32_t i = ts.fps_node_begin[node]; i < ts.fps_node_begin[node + 1]; ++i) {
-      const FpsTaskParams& u = ts.fps_params[i];
-      if (index_of(u.id) == t || t_priority <= u.priority) {
-        dirty.set(static_cast<std::uint32_t>(index_of(u.id)));
-      }
+        ts.fps.tasks[static_cast<std::uint32_t>(ts.fps_slot_of_task[t])].priority;
+    for (const FpsTask& u : ts.fps.node(node)) {
+      if (u.task == t || t_priority <= u.priority) dirty.set(u.task);
     }
   };
 
@@ -417,20 +399,14 @@ Expected<bool> analyze_system_incremental_into(const BusLayout& layout,
   };
   auto recompute_fps = [&](std::uint32_t t) {
     if (counters != nullptr) ++counters->fps_analyses;
-    const std::uint32_t node = ts.task_node[t];
-    const std::uint32_t begin = ts.fps_node_begin[node];
-    const std::uint32_t end = ts.fps_node_begin[node + 1];
-    const FpsTaskParams* self = nullptr;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      FpsTaskParams& p = arena.fps_params[i];
-      p.jitter = jit[index_of(p.id)];
-      if (index_of(p.id) == t) self = &p;
-    }
-    const std::span<const FpsTaskParams> group{arena.fps_params.data() + begin, end - begin};
-    const Time r = fps_response_time(*self, group, schedule.node_profile(node), horizon, fp_out,
-                                     0, &fps_cap_hits);
-    if (comp[t] == r) return false;
-    comp[t] = r;
+    const FpsTask& task = ts.fps.tasks[static_cast<std::uint32_t>(ts.fps_slot_of_task[t])];
+    const FpsResponse r =
+        fps_response_time(task, ts.fps.interferers_of(task), jit,
+                          schedule.node_profile(ts.task_node[t]), horizon, arena.fps_scratch);
+    fp_iterations += r.iterations;
+    if (r.stop == FpsStop::Capped) ++fps_cap_hits;
+    if (comp[t] == r.response) return false;
+    comp[t] = r.response;
     return true;
   };
   auto recompute_dyn = [&](std::uint32_t m) {

@@ -286,13 +286,8 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
     return a.is_task() ? result.task_completion[a.index] : result.message_completion[a.index];
   };
 
-  std::vector<std::vector<FpsTaskParams>> fps_on_node(app.node_count());
-  for (std::uint32_t t = 0; t < app.task_count(); ++t) {
-    const Task& task = app.tasks()[t];
-    if (task.policy != TaskPolicy::Fps) continue;
-    fps_on_node[index_of(task.node)].push_back(FpsTaskParams{
-        static_cast<TaskId>(t), task.wcet, app.graph(task.graph).period, 0, task.priority});
-  }
+  const FpsTaskSet fps = prepare_fps_tasks(app);
+  FpsScratch fps_scratch;
 
   // Per-ET-message interference sets (fixed geometry across iterations).
   std::vector<EtInterference> et_sets(app.message_count());
@@ -344,14 +339,15 @@ Expected<AnalysisResult> analyze_tsn_cluster(const TsnLayout& layout,
     // 2. FPS task response times per node (CPU scheduling is backend
     //    independent).
     for (std::size_t n = 0; n < app.node_count(); ++n) {
-      auto& params = fps_on_node[n];
-      for (auto& p : params) p.jitter = result.task_jitter[index_of(p.id)];
       const BusyProfile& profile = schedule.node_profile(n);
-      for (const auto& p : params) {
+      for (const FpsTask& p : fps.node(n)) {
         if (counters != nullptr) ++counters->fps_analyses;
-        const Time r = fps_response_time(p, params, profile, horizon, fp_out, 0, &fps_cap_hits);
-        if (result.task_completion[index_of(p.id)] != r) {
-          result.task_completion[index_of(p.id)] = r;
+        const FpsResponse r = fps_response_time(p, fps.interferers_of(p), result.task_jitter,
+                                                profile, horizon, fps_scratch);
+        fp_iterations += r.iterations;
+        if (r.stop == FpsStop::Capped) ++fps_cap_hits;
+        if (result.task_completion[p.task] != r.response) {
+          result.task_completion[p.task] = r.response;
           changed = true;
         }
       }

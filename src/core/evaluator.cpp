@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -468,8 +469,9 @@ void CostEvaluator::ensure_pool() {
 
 void CostEvaluator::drain(Batch& batch) {
   for (std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-       i < batch.moves.size(); i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
-    evaluate_move(*batch.base, batch.moves[i], slot(), (*batch.out)[i], /*batch=*/true);
+       i < batch.order.size(); i = batch.next.fetch_add(1, std::memory_order_relaxed)) {
+    const std::size_t m = batch.order[i];
+    evaluate_move(*batch.base, batch.moves[m], slot(), (*batch.out)[m], /*batch=*/true);
   }
 }
 
@@ -504,8 +506,34 @@ std::vector<CostEvaluator::Evaluation> CostEvaluator::evaluate(
   batch.moves = moves;
   batch.out = &out;
   if (worker_threads() <= 1 || moves.size() <= 1) {
+    batch.order.resize(moves.size());
+    std::iota(batch.order.begin(), batch.order.end(), std::size_t{0});
     drain(batch);
     return out;
+  }
+
+  // Two pool threads missing the same configuration would both analyse it,
+  // where the serial loop analyses it once and serves the repeat from the
+  // cache.  So the pool gets each distinct move once, and the repeats run
+  // on this thread afterwards, where they hit the cache as in the serial
+  // loop.  (Without a cache the serial loop analyses every repeat too.)
+  std::vector<std::size_t> repeats;
+  std::vector<std::size_t> hashes;
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    bool repeat = false;
+    if (evaluator_options_.cache_enabled) {
+      const DeltaMove& move = moves[i];
+      hashes.push_back(move.backend == ClusterBackendKind::FlexRay ? hash_config(move.config)
+                                                                   : 0);
+      for (std::size_t j = 0; j < i && !repeat; ++j) {
+        const DeltaMove& other = moves[j];
+        repeat = hashes[j] == hashes[i] && other.backend == move.backend &&
+                 other.cluster == move.cluster &&
+                 (move.backend == ClusterBackendKind::FlexRay ? other.config == move.config
+                                                              : other.tsn == move.tsn);
+      }
+    }
+    (repeat ? repeats : batch.order).push_back(i);
   }
 
   ensure_pool();
@@ -522,6 +550,9 @@ std::vector<CostEvaluator::Evaluation> CostEvaluator::evaluate(
     std::unique_lock<std::mutex> lock(pool_mutex_);
     pool_done_.wait(lock, [&] { return batch.active == 0; });
     if (batch_ == &batch) batch_ = nullptr;
+  }
+  for (const std::size_t i : repeats) {
+    evaluate_move(base, moves[i], slot(), out[i], /*batch=*/true);
   }
   return out;
 }

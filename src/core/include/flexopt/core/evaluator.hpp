@@ -187,11 +187,14 @@ class CostEvaluator {
 
   /// A batch of neighbours of one `base`, fanned across the worker pool
   /// (serial when there is one worker; the pool's threads are spawned on
-  /// the first batch and reused, so small per-batch sweeps stay cheap).  Results are in input order and
-  /// equal to calling evaluate(base, move) per move, bit for bit.  Each
+  /// the first batch and reused, so small per-batch sweeps stay cheap).
+  /// Results are in input order and equal to calling evaluate(base, move)
+  /// per move, bit for bit.  Each
   /// candidate is analysed in the claiming thread's batch arena, whose
-  /// binds are not reported, so every reported counter is independent of
-  /// the pool size.
+  /// binds are not reported, and a move identical to an earlier one in
+  /// the batch is evaluated after the pool has drained, as the cache hit
+  /// the serial loop records for it — so every reported counter, the
+  /// analysis count included, is independent of the pool size.
   std::vector<Evaluation> evaluate(const SystemConfig& base,
                                    std::span<const DeltaMove> moves);
 
@@ -274,12 +277,14 @@ class CostEvaluator {
     }
   };
 
-  /// One batch in flight: workers claim indices via `next`; `active`
-  /// counts workers currently inside the batch so the caller can destroy
-  /// it only after everyone has checked out.
+  /// One batch in flight: workers claim positions of `order` (indices
+  /// into `moves` and `out`) via `next`; `active` counts workers currently
+  /// inside the batch so the caller can destroy it only after everyone has
+  /// checked out.
   struct Batch {
     const SystemConfig* base = nullptr;
     std::span<const DeltaMove> moves;
+    std::vector<std::size_t> order;
     std::vector<Evaluation>* out = nullptr;
     std::atomic<std::size_t> next{0};
     int active = 0;  // guarded by pool_mutex_

@@ -41,6 +41,16 @@ struct FixedPointResult {
 /// result is the same as the unseeded run's only when neither run stops
 /// at `max_iterations`: the seeded run needs fewer iterations, so it can
 /// converge where the unseeded one is `capped`.
+///
+/// Iteration bound: let the run from 0 on f converge in k iterations to
+/// v, and let g >= f pointwise (monotone too — e.g. the same recurrence
+/// with more interference).  If the run on g seeded with v resolves
+/// (converges or crosses the horizon) in k' iterations, then the run on g
+/// from 0 resolves within k + k' iterations: its iterates dominate f's, so
+/// after k - 1 steps it is at least v, and from there it dominates the
+/// seeded run.  So when k + k' < max_iterations the from-0 run on g is not
+/// `capped` and agrees with the seeded one, and k + k' bounds its
+/// iterations for the next step of the same argument.
 template <typename F>
 FixedPointResult iterate_to_fixed_point(F&& f, Time horizon, int max_iterations = 10'000,
                                         Time seed = 0) {

@@ -134,6 +134,30 @@ TEST(BusyProfile, MaxBusyInWindowMatchesBruteForceOnRandomProfiles) {
   }
 }
 
+TEST(BusyProfile, MaxBusyInWindowMatchesBruteForceOverSeveralPeriods) {
+  // w = q * P + r for q up to 6 and every remainder class the one-division
+  // scan distinguishes: r = 0, r small, r = P - 1, and r random — windows
+  // whose ends all stay in period q, all wrap into q + 1, or split.
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    Rng rng(0x5e7e0000u + seed);
+    const Time period = 10 + rng.uniform_int(0, 90);
+    std::vector<Interval> intervals;
+    const int n = static_cast<int>(rng.uniform_int(1, 10));
+    for (int i = 0; i < n; ++i) {
+      const Time start = rng.uniform_int(0, period - 1);
+      intervals.push_back({start, std::min(period, start + rng.uniform_int(1, period / 3 + 1))});
+    }
+    const BusyProfile p(intervals, period);
+    for (Time q = 1; q <= 6; ++q) {
+      for (const Time r : {Time{0}, Time{1}, period - 1, rng.uniform_int(0, period - 1)}) {
+        const Time w = q * period + r;
+        EXPECT_EQ(p.max_busy_in_window(w), brute_max_busy(p, w))
+            << "seed " << seed << " period " << period << " w " << w;
+      }
+    }
+  }
+}
+
 TEST(BusyProfile, MaxBusyInWindowMatchesBruteForceOnEdgeProfiles) {
   Rng rng(99);
   const Time period = 40;

@@ -155,9 +155,12 @@ TEST(CostEvaluator, BatchMatchesSerialUncachedWithFewerAnalyses) {
     EXPECT_EQ(results[i].analysis.message_completion,
               reference[i].analysis.message_completion);
   }
-  // The duplicated pass is deduplicated by the cache: strictly fewer full
-  // analyses than the uncached serial sweep.
+  // The duplicated pass is deduplicated by the cache, exactly as in a
+  // serial cached loop: one analysis per distinct move and one cache hit
+  // per repeat, however the pool threads interleave.
   EXPECT_LT(parallel.evaluations(), serial.evaluations());
+  EXPECT_EQ(parallel.evaluations(), static_cast<long>(moves.size() / 2));
+  EXPECT_EQ(parallel.cache_stats().hits, moves.size() / 2);
   // Every analysis is charged as a delta (the call form), whatever thread
   // ran it; the batch form's arenas are not reported.
   const EvaluatorWorkStats work = parallel.work_stats();

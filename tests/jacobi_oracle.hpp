@@ -4,7 +4,9 @@
 /// as a test oracle for analyze_system.  It is deliberately the plain
 /// textbook schedule, independent of the production engine's data layout:
 /// a fresh static-schedule build, vector state indexed by TaskId /
-/// MessageId, the unprepared dyn_response_time, and strict Jacobi sweeps —
+/// MessageId, the unprepared dyn_response_time and FPS recurrence
+/// (placement_oracle.hpp's reference_fps_response_time), and strict Jacobi
+/// sweeps —
 /// every sweep recomputes every jitter from the previous sweep's
 /// completions, then every FPS and DYN recurrence, with no skip tracking.
 ///
@@ -16,7 +18,7 @@
 /// lanes exclude them explicitly:
 ///  * the oracle needs more Jacobi sweeps than max_holistic_iterations
 ///    (it pins to infinity where the relaxation converges);
-///  * an FPS recurrence stops at fps_response_time's iteration cap, whose
+///  * an FPS recurrence stops at the 10,000-iteration cap, whose
 ///    result depends on the jitters seen along the trajectory
 ///    (AnalysisWorkCounters::fps_cap_hits counts these in both engines).
 
@@ -32,6 +34,7 @@
 #include "flexopt/analysis/sat_time.hpp"
 #include "flexopt/analysis/system_analysis.hpp"
 #include "flexopt/flexray/bus_layout.hpp"
+#include "placement_oracle.hpp"
 
 namespace flexopt::testing {
 
@@ -69,11 +72,11 @@ inline AnalysisResult jacobi_oracle(const BusLayout& layout, const AnalysisOptio
     }
   }
 
-  std::vector<std::vector<FpsTaskParams>> fps_on_node(app.node_count());
+  std::vector<std::vector<ReferenceFpsTask>> fps_on_node(app.node_count());
   for (std::uint32_t t = 0; t < app.task_count(); ++t) {
     const Task& task = app.tasks()[t];
     if (task.policy != TaskPolicy::Fps) continue;
-    fps_on_node[index_of(task.node)].push_back(FpsTaskParams{
+    fps_on_node[index_of(task.node)].push_back(ReferenceFpsTask{
         static_cast<TaskId>(t), task.wcet, app.graph(task.graph).period, 0, task.priority});
   }
 
@@ -113,8 +116,8 @@ inline AnalysisResult jacobi_oracle(const BusLayout& layout, const AnalysisOptio
       for (auto& p : params) p.jitter = result.task_jitter[index_of(p.id)];
       for (const auto& p : params) {
         if (counters != nullptr) ++counters->fps_analyses;
-        const Time r = fps_response_time(p, params, schedule.node_profile(n), horizon,
-                                         &fp_iterations, 0, &cap_hits);
+        const Time r = reference_fps_response_time(p, params, schedule.node_profile(n),
+                                                   horizon, &fp_iterations, 0, &cap_hits);
         if (result.task_completion[index_of(p.id)] != r) {
           result.task_completion[index_of(p.id)] = r;
           changed = true;

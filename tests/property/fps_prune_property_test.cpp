@@ -1,7 +1,9 @@
 // Property tests for the bound-and-prune candidate scoring of the list
-// scheduler (Fig. 2 line 11): fps_response_time_sum with a bound returns
-// the exact sum whenever that is below the bound and a value at or above
-// the bound otherwise, for any seeds (infinite ones included); and a
+// scheduler (Fig. 2 line 11), on the scoring oracle of
+// placement_oracle.hpp (placement_oracle_property_test holds the list
+// scheduler to that oracle): reference_fps_response_time_sum with a bound
+// returns the exact sum whenever that is below the bound and a value at or
+// above the bound otherwise, for any seeds (infinite ones included); and a
 // candidate loop that passes its best cost so far as the bound chooses
 // the same start as the unbounded argmin, ties going to the earlier start.
 
@@ -15,14 +17,19 @@
 #include "flexopt/analysis/fps_analysis.hpp"
 #include "flexopt/analysis/sat_time.hpp"
 #include "flexopt/util/rng.hpp"
+#include "placement_oracle.hpp"
 
 namespace flexopt {
 namespace {
 
+using testing::ReferenceFpsTask;
+using testing::reference_fps_response_time;
+using testing::reference_fps_response_time_sum;
+
 struct Node {
   Time period = 0;  // hyper-period of the SCS table
   std::vector<Interval> busy;
-  std::vector<FpsTaskParams> fps;
+  std::vector<ReferenceFpsTask> fps;
 };
 
 Node make_node(Rng& rng) {
@@ -36,7 +43,7 @@ Node make_node(Rng& rng) {
   const int n_fps = static_cast<int>(rng.uniform_int(1, 6));
   const Time periods[] = {100, 200, 400, 800};
   for (int i = 0; i < n_fps; ++i) {
-    FpsTaskParams t;
+    ReferenceFpsTask t;
     t.id = static_cast<TaskId>(i);
     t.period = periods[rng.uniform_int(0, 3)];
     t.wcet = rng.uniform_int(1, t.period / 4);
@@ -53,8 +60,8 @@ Node make_node(Rng& rng) {
 std::vector<Time> make_seeds(const Node& node, Rng& rng) {
   const BusyProfile base(node.busy, node.period);
   std::vector<Time> seeds;
-  for (const FpsTaskParams& t : node.fps) {
-    const Time r = fps_response_time(t, node.fps, base, 4 * node.period);
+  for (const ReferenceFpsTask& t : node.fps) {
+    const Time r = reference_fps_response_time(t, node.fps, base, 4 * node.period);
     Time seed = is_infinite(r) ? kTimeInfinity : r - t.jitter;
     if (rng.chance(0.1)) seed = kTimeInfinity;
     if (rng.chance(0.05)) seed = rng.uniform_int(0, 2 * node.period);
@@ -63,7 +70,7 @@ std::vector<Time> make_seeds(const Node& node, Rng& rng) {
   return seeds;
 }
 
-/// Oracle: the unpruned sum, one fps_response_time call per task (an
+/// Oracle: the unpruned sum, one reference_fps_response_time call per task (an
 /// infinite seed short-circuits to unbounded, an unbounded response counts
 /// as `horizon`).
 Time reference_sum(const Node& node, const BusyProfile& profile, Time horizon,
@@ -75,7 +82,8 @@ Time reference_sum(const Node& node, const BusyProfile& profile, Time horizon,
       sum = sat_add(sum, horizon);
       continue;
     }
-    const Time r = fps_response_time(node.fps[i], node.fps, profile, horizon, nullptr, seed);
+    const Time r =
+        reference_fps_response_time(node.fps[i], node.fps, profile, horizon, nullptr, seed);
     sum = sat_add(sum, is_infinite(r) ? horizon : r);
   }
   return sum;
@@ -94,12 +102,12 @@ TEST(FpsPrune, BoundedSumIsExactBelowTheBoundAndAtLeastTheBoundOtherwise) {
     const std::vector<Time> seeds = rng.chance(0.2) ? std::vector<Time>{} : make_seeds(node, rng);
 
     const Time exact = reference_sum(node, profile, horizon, seeds);
-    EXPECT_EQ(fps_response_time_sum(node.fps, profile, horizon, seeds), exact) << seed;
+    EXPECT_EQ(reference_fps_response_time_sum(node.fps, profile, horizon, seeds), exact) << seed;
     std::vector<Time> bounds = {0, 1, exact, exact + 1, kTimeInfinity,
                                 rng.uniform_int(0, 2 * exact + 1)};
     if (exact > 0) bounds.push_back(exact - 1);
     for (const Time bound : bounds) {
-      const Time got = fps_response_time_sum(node.fps, profile, horizon, seeds, bound);
+      const Time got = reference_fps_response_time_sum(node.fps, profile, horizon, seeds, bound);
       const std::string where = "seed " + std::to_string(seed) + " bound " +
                                 std::to_string(bound) + " exact " + std::to_string(exact);
       if (exact < bound) {
@@ -144,7 +152,8 @@ TEST(FpsPrune, PrunedCandidateLoopChoosesTheUnboundedArgmin) {
         want_cost = full;
         want = c;
       }
-      const Time bounded = fps_response_time_sum(node.fps, profile, horizon, seeds, best_cost);
+      const Time bounded =
+          reference_fps_response_time_sum(node.fps, profile, horizon, seeds, best_cost);
       if (bounded < best_cost) {
         best_cost = bounded;
         got = c;
